@@ -23,7 +23,7 @@ import dataclasses
 import math
 
 from .errors import NotCoprime, ZeroWeightColumn
-from .foxcalc import Weights, abelianize, compute_weights, fox_derivative
+from .foxcalc import Weights, _abelianized_row, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
 from .words import Presentation
 
@@ -45,10 +45,7 @@ class AlexanderMatrix:
 def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
     weights = compute_weights(presentation)
     rows = tuple(
-        tuple(
-            abelianize(fox_derivative(relator, gen), weights)
-            for gen in presentation.generators
-        )
+        _abelianized_row(relator, presentation.generators, weights)
         for relator in presentation.relators
     )
     return AlexanderMatrix(presentation.generators, weights, rows)

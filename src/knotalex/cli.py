@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=DEFAULT_BISECTION_WIDTH,
-        help="bisection bracket width (default 1e-12)",
+        help="bisection bracket width, relative to its upper end (default 1e-12)",
     )
     p_certify.add_argument("--json", action="store_true")
     p_certify.set_defaults(func=_cmd_certify)

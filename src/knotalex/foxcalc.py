@@ -11,6 +11,11 @@ Abelianization sends each generator g to t^weight(g), where the weights span
 the integer nullspace of the relator exponent-sum matrix.  For a knot-like
 presentation that nullspace is one-dimensional and the primitive,
 meridian-positive vector is unique.
+
+The Alexander matrix needs only the abelianized derivatives, and
+``_abelianized_row`` computes those in one pass over a relator's syllables
+with integer degrees alone; ``fox_derivative`` followed by ``abelianize`` is
+the exact reference it is tested against.
 """
 
 from __future__ import annotations
@@ -305,3 +310,28 @@ def abelianize(element: GroupRingElement, weights: Weights) -> LaurentPoly:
         degree = weights.degree(word)
         coeffs[degree] = coeffs.get(degree, 0) + coeff
     return LaurentPoly(coeffs)
+
+
+def _abelianized_row(
+    relator: Word, generators: tuple[str, ...], weights: Weights
+) -> tuple[LaurentPoly, ...]:
+    """``abelianize(fox_derivative(relator, g), weights)`` for every g, in one walk.
+
+    Only the degree d of the running prefix matters after abelianization, so
+    no prefix word is built: a syllable g^k of weight w adds
+    t^d + t^(d+w) + ... + t^(d+(k-1)w) to column g when k > 0, and
+    -(t^(d-w) + ... + t^(d+kw)) when k < 0; then d grows by k*w.
+    """
+    weight = weights.as_dict()
+    columns: dict[str, dict[int, int]] = {gen: {} for gen in generators}
+    degree = 0
+    for name, exp in relator.syllables:
+        step = weight[name]
+        column = columns[name]
+        sign = 1 if exp > 0 else -1
+        start = degree + min(exp, 0) * step
+        for j in range(abs(exp)):
+            power = start + j * step
+            column[power] = column.get(power, 0) + sign
+        degree += exp * step
+    return tuple(LaurentPoly(columns[gen]) for gen in generators)

@@ -43,7 +43,10 @@ from .laurent import (
     eval_unit_circle,
 )
 
-#: Bisection stops when the bracket is narrower than this.
+#: Bisection stops when the bracket is narrower than this.  The family
+#: bisection scales it by the bracket's upper end: the root theta* ~ pi/(2M)
+#: shrinks as M = n + 3m grows while |g'| near it grows like 2M, so an
+#: absolute width would let the residual grow with M.
 DEFAULT_BISECTION_WIDTH = 1e-12
 #: |Delta(e^(i*theta_star))| must stay below this.
 DEFAULT_RESIDUAL_BOUND = 1e-8
@@ -122,8 +125,8 @@ def _sign_margin(params: FamilyParams) -> float:
 
 
 def _bisect(params: FamilyParams, lo: float, hi: float, width: float) -> float:
-    """Bisect g over [lo, hi] with g(lo) > 0 > g(hi); returns the midpoint."""
-    while hi - lo > width:
+    """Bisect g over [lo, hi] with g(lo) > 0 > g(hi) down to a relative width."""
+    while hi - lo > width * hi:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket hit float resolution
             break

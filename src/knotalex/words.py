@@ -108,17 +108,12 @@ class Word:
     def __pow__(self, k: int) -> Word:
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return Word()
         if k < 0:
             return self.inverse() ** (-k)
         if len(self._syllables) == 1:
             gen, exp = self._syllables[0]
             return Word(((gen, exp * k),))
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        return Word(self._syllables * k)
 
     def exponent_sum(self, gen: str) -> int:
         """Total (signed) exponent of one generator across the word."""
@@ -190,12 +185,12 @@ class _WordParser:
         return word
 
     def _word(self) -> Word:
-        word = Word.identity()
+        syllables: list[tuple[str, int]] = []
         while True:
             kind, value = self._peek()
             if kind is None or (kind == "punct" and value == ")"):
-                return word
-            word = word * self._factor()
+                return Word(syllables)
+            syllables.extend(self._factor().syllables)
 
     def _factor(self) -> Word:
         atom = self._atom()

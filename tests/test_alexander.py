@@ -3,7 +3,10 @@
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from knotalex import alexander, foxcalc
 from knotalex.alexander import (
     alexander_matrix,
     alexander_polynomial,
@@ -14,6 +17,7 @@ from knotalex.alexander import (
 )
 from knotalex.errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
 from knotalex.family import FamilyParams, knot_group_presentation
+from knotalex.foxcalc import abelianize, compute_weights, fox_derivative
 from knotalex.laurent import LaurentPoly, eval_unit_circle
 from knotalex.words import Presentation, Word, parse_presentation
 
@@ -21,6 +25,40 @@ TREFOIL_PRESENTATION = parse_presentation("gens: x y\nrel: x y x (y x y)^-1\n")
 TREFOIL = LaurentPoly({0: 1, 1: -1, 2: 1})
 T34 = LaurentPoly({0: 1, 1: -1, 3: 1, 5: -1, 6: 1})
 T35 = LaurentPoly({0: 1, 1: -1, 3: 1, 4: -1, 5: 1, 7: -1, 8: 1})
+
+#: Wirtinger-style presentations with three and four generators.
+MANY_GENERATORS = (
+    parse_presentation(
+        "gens: x1 x2 x3\nrel: x1 x2 x1^-1 x3^-1\nrel: x2 x3 x2^-1 x1^-1\n"
+    ),
+    parse_presentation(
+        "gens: a b c d\n"
+        "rel: a b a^-1 c^-1\nrel: b c b^-1 d^-1\nrel: c d^-2 (c^-1 a^-1)^3 c a^2 c\n"
+    ),
+)
+
+_two_generator_relators = st.lists(
+    st.tuples(
+        st.sampled_from(("x", "y")),
+        st.integers(min_value=-4, max_value=4).filter(lambda e: e != 0),
+    ),
+    max_size=10,
+).map(Word)
+
+
+def assert_matrix_matches_fox_reference(presentation: Presentation) -> None:
+    """Every entry equals the abelianized group-ring derivative."""
+    matrix = alexander_matrix(presentation)
+    weights = compute_weights(presentation)
+    assert matrix.weights == weights
+    assert len(matrix.rows) == len(presentation.relators)
+    for relator, row in zip(presentation.relators, matrix.rows):
+        assert len(row) == len(presentation.generators)
+        for gen, entry in zip(presentation.generators, row):
+            assert entry == abelianize(fox_derivative(relator, gen), weights), (
+                relator.render(),
+                gen,
+            )
 
 
 class TestMatrix:
@@ -37,6 +75,35 @@ class TestMatrix:
         from knotalex.foxcalc import fox_derivative
 
         assert fox_derivative(p.relators[0], "x").is_zero
+
+    def test_matches_fox_reference_on_family_grid(self):
+        for n in range(1, 7):
+            for m in range(1, 7):
+                presentation = knot_group_presentation(FamilyParams(n, m))
+                assert_matrix_matches_fox_reference(presentation)
+
+    @given(relator=_two_generator_relators)
+    def test_matches_fox_reference_on_two_generator_relators(self, relator):
+        # H1 has rank 1 exactly when some exponent sum is nonzero
+        assume(relator.exponent_sum("x") or relator.exponent_sum("y"))
+        assert_matrix_matches_fox_reference(Presentation(("x", "y"), (relator,)))
+
+    def test_matches_fox_reference_on_many_generators(self):
+        for presentation in MANY_GENERATORS:
+            assert_matrix_matches_fox_reference(presentation)
+
+    def test_builds_no_group_ring_element(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the Alexander matrix built a group-ring element")
+
+        monkeypatch.setattr(foxcalc, "fox_derivative", refuse)
+        monkeypatch.setattr(foxcalc.GroupRingElement, "__init__", refuse)
+        assert not hasattr(alexander, "fox_derivative")
+        assert not hasattr(alexander, "abelianize")
+        presentation = knot_group_presentation(FamilyParams(3, 2))
+        assert len(alexander_matrix(presentation).rows) == 1
+        assert alexander_polynomial(presentation) == closed_form_alexander(3, 2)
+        assert alexander_polynomial(MANY_GENERATORS[0]) == TREFOIL
 
 
 class TestPipeline:
@@ -68,9 +135,14 @@ class TestPipeline:
         assert alexander_polynomial(Presentation(("a",), ())) == LaurentPoly.one()
 
     def test_torus_like_presentation_x2_y3(self):
-        # <x, y | x^2 (y^3)^-1> also presents the trefoil group
-        p = parse_presentation("gens: x y\nrel: x^2 y^-3\n")
-        assert alexander_polynomial(p) == TREFOIL
+        # <x, y | x^2 (y^3)^-1> also presents the trefoil group, and
+        # <x, y | x (y x)^k y^-1> the group of the (2, 2k + 1) torus knot
+        for relator, expected in [
+            ("x^2 y^-3", TREFOIL),
+            ("x (y x)^2000 y^-1", torus_knot_alexander(2, 2001)),
+        ]:
+            p = parse_presentation(f"gens: x y\nrel: {relator}\n")
+            assert alexander_polynomial(p) == expected, relator
 
 
 class TestClosedForm:

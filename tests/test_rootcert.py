@@ -132,7 +132,9 @@ class TestCertification:
 
 class TestResidual:
     def test_small_residuals(self):
-        for n, m in [(1, 1), (2, 1), (3, 2), (10, 7)]:
+        # (26490, 1194) has its root near 5e-5, where |g'| is about 6e4: only a
+        # bisection width relative to the root keeps its residual small
+        for n, m in [(1, 1), (2, 1), (3, 2), (10, 7), (26490, 1194)]:
             params = FamilyParams(n, m)
             cert = certify_family_root(params)
             assert residual_at_certified_root(params, cert) < 1e-8

@@ -94,6 +94,17 @@ class TestGroupOps:
         # frozen by hand for (n, m) = (1, 1)
         assert family_relator(1, 1).render() == "w a w a^-1 w^-1 a^-2 w^-1 a^-1 w a"
 
+    @given(u=words(4), g=words(2), k=st.integers(min_value=-5, max_value=5))
+    def test_power_is_repeated_product(self, u, g, k):
+        # the conjugate g u g^-1 is in general not cyclically reduced, so
+        # its powers cancel and merge across the seams between copies
+        for base in (u, g * u * g.inverse()):
+            factor = base if k >= 0 else base.inverse()
+            expected = Word.identity()
+            for _ in range(abs(k)):
+                expected = expected * factor
+            assert base**k == expected
+
     @given(u=words(), v=words(), x=words())
     def test_associative(self, u, v, x):
         assert (u * v) * x == u * (v * x)
