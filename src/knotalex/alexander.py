@@ -8,7 +8,12 @@ gives a square minor whose determinant satisfies
     det(A_j) * (t - 1) = Delta(t) * (t^e_j - 1)    up to a unit +-t^k,
 
 so the polynomial is the exact quotient det(A_j) * (t - 1) / (t^e_j - 1),
-normalized.  The choice of deleted column does not change the result.
+normalized.  The choice of deleted column does not change the result.  The
+determinant is taken by Bareiss fraction-free elimination, exact division,
+in O(l^3) ring operations.  At t = 1 the matrix is the integer exponent-sum
+matrix E, and the polynomial's value there is det(E_j) / e_j; that value is
+checked to be +-1 before any free derivative is taken, so torsion in H1 is
+rejected from the exponent sums alone.
 
 The built-in twisted torus knot family admits a closed form: the normalized
 quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by
@@ -22,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from .errors import NotCoprime, ZeroWeightColumn
+from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
 from .foxcalc import Weights, _abelianized_row, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
 from .words import Presentation
@@ -42,28 +47,61 @@ class AlexanderMatrix:
         return self.rows[i][self.generators.index(gen)]
 
 
-def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
-    weights = compute_weights(presentation)
-    rows = tuple(
+def _rows(
+    presentation: Presentation, weights: Weights
+) -> tuple[tuple[LaurentPoly, ...], ...]:
+    """One row of abelianized free derivatives per relator."""
+    return tuple(
         _abelianized_row(relator, presentation.generators, weights)
         for relator in presentation.relators
     )
-    return AlexanderMatrix(presentation.generators, weights, rows)
+
+
+def alexander_matrix(presentation: Presentation) -> AlexanderMatrix:
+    weights = compute_weights(presentation)
+    return AlexanderMatrix(
+        presentation.generators, weights, _rows(presentation, weights)
+    )
 
 
 def _determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Cofactor expansion; fine at the small sizes deficiency-one allows."""
-    size = len(rows)
-    if size == 0:
+    """Bareiss fraction-free elimination, exact division.
+
+    After step k every entry below and right of the pivot is a (k+1) x (k+1)
+    minor of the input, so by Sylvester's identity the division by the
+    previous pivot is exact in Z[t^+-1].  A zero pivot is replaced by a lower
+    row with a nonzero entry in its column (flipping the sign); if there is
+    none the determinant is zero.
+    """
+    if not rows:
         return LaurentPoly.one()
-    if size == 1:
-        return rows[0][0]
-    total = LaurentPoly.zero()
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * _determinant(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    a = [list(row) for row in rows]
+    size = len(a)
+    sign = 1
+    previous = LaurentPoly.one()
+    for k in range(size - 1):
+        if a[k][k].is_zero:
+            swap = next((i for i in range(k + 1, size) if not a[i][k].is_zero), None)
+            if swap is None:
+                return LaurentPoly.zero()
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, pivot_row = a[k][k], a[k]
+        divide = previous != 1
+        for i in range(k + 1, size):
+            row = a[i]
+            factor = row[k]
+            for j in range(k + 1, size):
+                entry = row[j]
+                if not (factor.is_zero or pivot_row[j].is_zero):
+                    entry = pivot * entry - factor * pivot_row[j]
+                elif entry.is_zero:
+                    continue
+                else:
+                    entry = pivot * entry
+                row[j] = exact_div(entry, previous) if divide else entry
+        previous = pivot
+    return a[-1][-1] if sign == 1 else -a[-1][-1]
 
 
 def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> LaurentPoly:
@@ -73,25 +111,43 @@ def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> Laurent
     generator with the smallest positive weight (ties broken by declaration
     order).  Deleting a zero-weight column is rejected because the formula
     divides by t^weight - 1.
+
+    Torsion in H1 is caught before any Fox calculus: the polynomial's value
+    at t = 1 is det(E_j) / e_j, where E_j is the integer exponent-sum matrix
+    without the deleted column, and it must be +-1.
     """
-    matrix = alexander_matrix(presentation)
-    gens = matrix.generators
+    weights = compute_weights(presentation)
+    gens = presentation.generators
     if via == AUTO:
-        candidates = [(matrix.weights[g], i) for i, g in enumerate(gens)]
+        candidates = [(weights[g], i) for i, g in enumerate(gens)]
         candidates = [(w, i) for w, i in candidates if w > 0]
         removed = min(candidates)[1]
     else:
         if via not in gens:
             raise ValueError(f"{via!r} is not a generator of this presentation")
         removed = gens.index(via)
-        if matrix.weights[via] == 0:
+        if weights[via] == 0:
             raise ZeroWeightColumn(
                 f"generator {via!r} has weight 0; its column cannot be removed"
             )
-    minor = [
-        [poly for j, poly in enumerate(row) if j != removed] for row in matrix.rows
+    weight = weights[gens[removed]]
+    sums = [
+        [
+            LaurentPoly.monomial(0, rel.exponent_sum(g))
+            for j, g in enumerate(gens)
+            if j != removed
+        ]
+        for rel in presentation.relators
     ]
-    weight = matrix.weights[gens[removed]]
+    # Exact: the quotient q below satisfies q * (1 + t + ... + t^(e_j - 1)) =
+    # det(A_j), so q(1) = det(E_j) / e_j, the value normalization checks.
+    value = _determinant(sums).coefficient(0) // weight
+    if value not in (1, -1):
+        raise NotAKnotPolynomial(f"value at t = 1 is {value}, expected +1 or -1")
+    minor = [
+        [poly for j, poly in enumerate(row) if j != removed]
+        for row in _rows(presentation, weights)
+    ]
     numerator = _determinant(minor) * LaurentPoly({1: 1, 0: -1})
     denominator = LaurentPoly({weight: 1, 0: -1})
     return normalize_knot_poly(exact_div(numerator, denominator))

@@ -31,8 +31,6 @@ import enum
 import math
 import sys
 
-import numpy as np
-
 from .alexander import closed_form_alexander
 from .errors import CertificationFailed, ResidualTooLarge
 from .family import FamilyParams
@@ -42,6 +40,9 @@ from .laurent import (
     centered_cosine_value,
     eval_unit_circle,
 )
+
+# numpy is imported inside the functions that use it, so that importing the
+# package (and every CLI command but ``certify``) does not load it.
 
 #: Bisection stops when the bracket is narrower than this.  The family
 #: bisection scales it by the bracket's upper end: the root theta* ~ pi/(2M)
@@ -110,7 +111,9 @@ def circle_function_derivative(params: FamilyParams, theta: float) -> float:
     )
 
 
-def _grid_neg_derivative(params: FamilyParams, thetas: np.ndarray) -> np.ndarray:
+def _grid_neg_derivative(params: FamilyParams, thetas):
+    import numpy as np
+
     big, small = _frequencies(params)
     return (
         np.sin(0.5 * thetas) * np.cos(big * thetas)
@@ -188,6 +191,8 @@ def certify_family_root(
         raise CertificationFailed(f"g({theta_lo}) = {g_lo} not positive beyond margin")
     if not g_hi < -margin:
         raise CertificationFailed(f"g({theta_hi}) = {g_hi} not negative beyond margin")
+
+    import numpy as np
 
     panels = PANELS_PER_UNIT * big
     thetas = np.linspace(theta_lo, theta_hi, panels + 1)
@@ -298,6 +303,8 @@ def find_simple_roots(
     the ``simple`` flag additionally requires the analytic derivative at the
     bisected point to exceed 1e-6 * max|c| * span.
     """
+    import numpy as np
+
     if grid_factor < 1:
         raise ValueError("grid_factor must be at least 1")
     coeffs = centered_cosine_form(p)

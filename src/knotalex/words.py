@@ -160,7 +160,13 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _WordParser:
-    """Recursive descent over WORD := FACTOR+, FACTOR := ATOM ('^' INT)?."""
+    """Left-to-right parse of WORD := FACTOR*, FACTOR := ATOM ('^' INT)?.
+
+    ATOM is a generator name or a parenthesized WORD.  Open groups live on an
+    explicit stack of syllable lists, so nesting depth costs no recursion.  A
+    group without an exponent is spliced into its parent unreduced; the whole
+    word is reduced once at the end, which free reduction allows.
+    """
 
     def __init__(self, tokens: list[tuple[str, str]], generators: frozenset[str]):
         self._tokens = tokens
@@ -178,46 +184,37 @@ class _WordParser:
         return token
 
     def parse(self) -> Word:
-        word = self._word()
-        kind, value = self._peek()
-        if kind is not None:
-            raise WordParseError(f"unbalanced parentheses near {value!r}")
-        return word
-
-    def _word(self) -> Word:
-        syllables: list[tuple[str, int]] = []
+        stack: list[list[tuple[str, int]]] = [[]]
         while True:
-            kind, value = self._peek()
-            if kind is None or (kind == "punct" and value == ")"):
-                return Word(syllables)
-            syllables.extend(self._factor().syllables)
+            kind, value = self._next()
+            if kind == "name":
+                if value not in self._generators:
+                    raise WordParseError(f"unknown generator {value!r}")
+                self._append(stack[-1], [(value, 1)])
+            elif kind == "punct" and value == "(":
+                stack.append([])
+            elif kind == "punct" and value == ")":
+                if len(stack) == 1:
+                    raise WordParseError(f"unbalanced parentheses near {value!r}")
+                group = stack.pop()
+                self._append(stack[-1], group)
+            elif kind is None:
+                if len(stack) > 1:
+                    raise WordParseError("unbalanced parentheses: missing ')'")
+                return Word(stack[0])
+            else:
+                raise WordParseError(f"unexpected token {value!r}")
 
-    def _factor(self) -> Word:
-        atom = self._atom()
+    def _append(self, target: list[tuple[str, int]], atom: list[tuple[str, int]]) -> None:
+        """Append an atom's syllables, raised to the exponent that follows it, if any."""
         kind, value = self._peek()
         if kind == "punct" and value == "^":
             self._next()
             kind, value = self._next()
             if kind != "int":
                 raise WordParseError("expected an integer exponent after '^'")
-            return atom ** int(value)
-        return atom
-
-    def _atom(self) -> Word:
-        kind, value = self._next()
-        if kind == "name":
-            if value not in self._generators:
-                raise WordParseError(f"unknown generator {value!r}")
-            return Word.generator(value)
-        if kind == "punct" and value == "(":
-            word = self._word()
-            kind, value = self._next()
-            if not (kind == "punct" and value == ")"):
-                raise WordParseError("unbalanced parentheses: missing ')'")
-            return word
-        if kind is None:
-            raise WordParseError("unexpected end of input")
-        raise WordParseError(f"unexpected token {value!r}")
+            atom = (Word(atom) ** int(value)).syllables
+        target.extend(atom)
 
 
 def parse_word(text: str, generators: Iterable[str]) -> Word:

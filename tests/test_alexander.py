@@ -3,9 +3,10 @@
 import math
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from _strategies import laurent_polys
 from knotalex import alexander, foxcalc
 from knotalex.alexander import (
     alexander_matrix,
@@ -106,6 +107,69 @@ class TestMatrix:
         assert alexander_polynomial(MANY_GENERATORS[0]) == TREFOIL
 
 
+def _cofactor_oracle(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant by expansion along the first row: O(l!), for small sizes only."""
+    if not rows:
+        return LaurentPoly.one()
+    total = LaurentPoly.zero()
+    for j, entry in enumerate(rows[0]):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = entry * _cofactor_oracle(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@st.composite
+def _square_matrices(draw) -> list[list[LaurentPoly]]:
+    """Square Laurent matrices up to 5 x 5, often with zero pivots or singular.
+
+    Entries are zero half the time, which leaves zero pivots for the row swap;
+    optionally one row is replaced by a Laurent multiple of another, which
+    makes the matrix singular.
+    """
+    size = draw(st.integers(min_value=0, max_value=5))
+    entry = st.one_of(st.just(LaurentPoly.zero()), laurent_polys(max_terms=3))
+    rows = [[draw(entry) for _ in range(size)] for _ in range(size)]
+    if size >= 2 and draw(st.booleans()):
+        source, target = draw(st.permutations(range(size)))[:2]
+        factor = draw(laurent_polys(max_terms=2))
+        rows[target] = [factor * poly for poly in rows[source]]
+    return rows
+
+
+def _poly_rows(*rows) -> list[list[LaurentPoly]]:
+    return [[LaurentPoly(entry) for entry in row] for row in rows]
+
+
+def torus_2k_wirtinger(k: int) -> Presentation:
+    """Wirtinger presentation of T(2, k), k odd: x_(i+1) = x_i x_(i-1) x_i^-1, indices mod k.
+
+    The relation for i = 0 follows from the others and is dropped.
+    """
+    gens = tuple(f"x{i}" for i in range(k))
+    relators = tuple(
+        Word(
+            [(gens[i], 1), (gens[i - 1], 1), (gens[i], -1), (gens[(i + 1) % k], -1)]
+        )
+        for i in range(1, k)
+    )
+    return Presentation(gens, relators)
+
+
+class TestDeterminant:
+    @given(rows=_square_matrices())
+    @example(rows=_poly_rows([{}, {0: 1}], [{1: 1}, {}]))  # zero pivot, swap
+    @example(rows=_poly_rows([{}, {0: 2}], [{}, {1: 1}]))  # zero column
+    def test_matches_cofactor_oracle(self, rows):
+        assert alexander._determinant(rows) == _cofactor_oracle(rows)
+
+    @pytest.mark.parametrize("k", [3, 5, 21, 41])
+    def test_wirtinger_torus_2k(self, k):
+        presentation = torus_2k_wirtinger(k)
+        assert len(alexander_matrix(presentation).rows) == k - 1
+        assert alexander_polynomial(presentation) == torus_knot_alexander(2, k)
+
+
 class TestPipeline:
     def test_trefoil(self):
         assert alexander_polynomial(TREFOIL_PRESENTATION) == TREFOIL
@@ -130,6 +194,21 @@ class TestPipeline:
         p = Presentation(("x", "y"), (y**2,))
         with pytest.raises(ZeroWeightColumn):
             alexander_polynomial(p, via="y")
+
+    def test_torsion_fails_with_value_at_one(self):
+        # H1 = Z + Z/1000000: the exponent sums alone show it, before any Fox
+        # calculus on the 5M-letter relator
+        p = parse_presentation("gens: x y\nrel: x^3000000 y^-2000000\n")
+        with pytest.raises(NotAKnotPolynomial) as exc_info:
+            alexander_polynomial(p)
+        assert str(exc_info.value) == "value at t = 1 is -1000000, expected +1 or -1"
+
+    def test_small_torsion_matches_polynomial_value(self):
+        # H1 = Z + Z/3; the value keeps the sign the polynomial would have had
+        p = parse_presentation("gens: x y\nrel: x^9 y^-6\n")
+        for via, value in (("x", -3), ("y", 3)):
+            with pytest.raises(NotAKnotPolynomial, match=f"^value at t = 1 is {value},"):
+                alexander_polynomial(p, via=via)
 
     def test_unknot(self):
         assert alexander_polynomial(Presentation(("a",), ())) == LaurentPoly.one()

@@ -46,6 +46,16 @@ class TestParse:
         assert code == 0
         assert "gens: x y" in out
 
+    def test_deeply_nested_relator(self, capsys, tmp_path):
+        source = tmp_path / "nested.txt"
+        source.write_text("gens: x y\nrel: " + "(" * 400 + "x" + ")" * 400 + " y^-1\n")
+        code, out, err = run(capsys, ["parse", "--file", str(source)])
+        assert (code, out, err) == (0, "gens: x y\nrel: x y^-1\n", "")
+        source.write_text("gens: x y\nrel: " + "(" * 400 + "x y^-1\n")
+        code, out, err = run(capsys, ["parse", "--file", str(source)])
+        assert (code, out) == (1, "")
+        assert err == "error: WordParseError: unbalanced parentheses: missing ')'\n"
+
 
 class TestAlexander:
     def test_trefoil(self, capsys, tmp_path):
@@ -79,6 +89,16 @@ class TestAlexander:
         assert out == ""
         assert err.startswith("error: H1RankNotOne:")
         assert err.count("\n") == 1
+
+    def test_torsion_error_line(self, capsys, monkeypatch):
+        text = "gens: x y\nrel: x^3000000 y^-2000000\n"
+        code, out, err = run(
+            capsys, ["alexander", "--file", "-"], stdin=text, monkeypatch=monkeypatch
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: NotAKnotPolynomial: value at t = 1 is -1000000, expected +1 or -1\n"
+        )
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = run(

@@ -1,10 +1,15 @@
 """Certified unit-circle roots: the family function g and the generic scanner."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knotalex
 from knotalex.alexander import (
     circle_numerator_value,
     closed_form_alexander,
@@ -214,3 +219,14 @@ class TestFindSimpleRoots:
     def test_grid_factor_validation(self):
         with pytest.raises(ValueError):
             find_simple_roots(LaurentPoly.one(), grid_factor=0)
+
+
+def test_package_import_leaves_numpy_out():
+    # numpy is imported by the functions that use it, not by ``import knotalex``
+    code = "import sys, knotalex, knotalex.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(knotalex.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

@@ -1,5 +1,7 @@
 """Words: parsing, reduction, group operations, presentations."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -57,6 +59,17 @@ class TestParse:
         for text in ("(a w", "a)", "(a))"):
             with pytest.raises(WordParseError):
                 parse_word(text, "aw")
+
+    def test_deep_nesting(self):
+        depth = 10_000
+        text = "(" * depth + "a w^2" + ")" * depth + "^-1 w"
+        assert parse_word(text, "aw") == (A * W**2).inverse() * W
+        for unbalanced, message in (
+            ("(" * depth + "a" + ")" * (depth - 1), "unbalanced parentheses: missing ')'"),
+            ("(" * depth + "a" + ")" * (depth + 1), "unbalanced parentheses near ')'"),
+        ):
+            with pytest.raises(WordParseError, match=re.escape(message)):
+                parse_word(unbalanced, "aw")
 
     def test_bare_integer_rejected(self):
         with pytest.raises(WordParseError):
