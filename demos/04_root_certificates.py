@@ -4,7 +4,7 @@ On the unit circle each family polynomial is proportional to the real
 function g(theta) = 2 cos(theta/2) cos(M theta) + cos(nu theta) with
 M = n + 3m and nu = n - 3/2.  The certificates prove a simple zero of g:
 exactly for n = 1 (where g factors), and by a sign-change bracket plus a
-monotonicity bound for n >= 2.
+proof that -g' > 0 on a few adaptive panels for n >= 2.
 """
 
 import math
@@ -35,7 +35,8 @@ print(f"bracket:   ({cert.theta_lo:.6f}, {cert.theta_hi:.6f})"
 print(f"theta_star: {cert.theta_star}")
 print(f"            (this member is the (3, 5) torus knot, root 2*pi/15 = {2 * math.pi / 15})")
 witness = cert.monotone_witness
-print(f"monotonicity witness: {witness.panels} panels, "
+print(f"monotonicity witness: -g' > 0 on {witness.panels} adaptive panels "
+      f"(narrowest {witness.panel_width:.6f}), "
       f"min(-g') = {witness.min_neg_derivative:.6f}")
 residual = residual_at_certified_root(params, cert)
 print(f"|Delta(e^(i theta_star))| = {residual:.3e}")

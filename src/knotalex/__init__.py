@@ -14,8 +14,6 @@ from .alexander import (
     AlexanderMatrix,
     alexander_matrix,
     alexander_polynomial,
-    circle_numerator,
-    circle_numerator_value,
     closed_form_alexander,
     torus_knot_alexander,
 )
@@ -90,8 +88,6 @@ __all__ = [
     "certify_family_root",
     "circle_function",
     "circle_function_derivative",
-    "circle_numerator",
-    "circle_numerator_value",
     "classify_surgery",
     "closed_form_alexander",
     "compute_weights",

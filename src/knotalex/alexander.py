@@ -182,26 +182,3 @@ def torus_knot_alexander(p: int, q: int) -> LaurentPoly:
     quotient = exact_div(cycle(p * q), cycle(p))
     return normalize_knot_poly(exact_div(quotient * cycle(1), cycle(q)))
 
-
-def circle_numerator(n: int, m: int) -> tuple[tuple[float, int], ...]:
-    """Cosine spectrum of the family polynomial transported to the unit circle.
-
-    Returns (frequency, coefficient) pairs such that the value
-    2 * sum(c * cos(s * theta)) equals, in absolute value,
-    |Delta(e^(i*theta))| * |2*cos(theta/2)| * |2*cos(theta) + 1|.
-    The frequencies are half-integers, exact in binary floating point.
-    """
-    if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
-        raise ValueError("requires integers n >= 1 and m >= 1")
-    return (
-        (n + 3 * m + 0.5, 1),
-        (n + 3 * m - 0.5, 1),
-        (n - 1.5, 1),
-    )
-
-
-def circle_numerator_value(n: int, m: int, theta: float) -> float:
-    """Evaluate the circle numerator: 2 * sum of c * cos(s * theta)."""
-    return 2.0 * sum(
-        coeff * math.cos(freq * theta) for freq, coeff in circle_numerator(n, m)
-    )

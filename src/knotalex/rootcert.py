@@ -11,12 +11,14 @@ zero of the polynomial at e^(i*theta).  Two certificate kinds are produced:
 * n = 1: nu = -1/2 makes g factor as cos(theta/2) * (2*cos(M*theta) + 1),
   whose first zero theta = (2*pi/3)/M is exact (ExactCosine).
 * n >= 2: on the interval ((pi/2)/M, (pi/2)/(n + 3m/2 - 3/4)) the endpoint
-  values of g have opposite signs and -g' stays above
-  sin((M + 1/2)*theta) >= 0, so g is strictly decreasing and crosses zero
-  exactly once (IntervalSignChange).  The derivative bound is checked on a
-  dense panel grid and bridged between panel points with the Lipschitz bound
-  |g''| <= (M + 1/2)^2 + M^2 + nu^2; endpoint signs must clear an explicit
-  floating-point evaluation margin.  The root is then located by bisection.
+  values of g have opposite signs and -g' > 0, so g is strictly decreasing
+  and crosses zero exactly once (IntervalSignChange).  -g' > 0 is proved on
+  adaptive panels: a panel [a, b] is kept once
+  min(-g'(a), -g'(b)) - L*(b - a)/2 clears an explicit floating-point margin,
+  where L = (M + 1/2)^2 + M^2 + nu^2 bounds |g''|, and is split at its
+  midpoint otherwise, down to a width of (hi - lo)/(PANELS_PER_UNIT*M).
+  Endpoint signs must likewise clear an explicit margin.  The root is then
+  located by bisection.
 
 ``find_simple_roots`` is the generic companion: it scans any palindromic
 even-span polynomial for sign changes of its centered cosine form on
@@ -41,9 +43,6 @@ from .laurent import (
     eval_unit_circle,
 )
 
-# numpy is imported inside the functions that use it, so that importing the
-# package (and every CLI command but ``certify``) does not load it.
-
 #: Bisection stops when the bracket is narrower than this.  The family
 #: bisection scales it by the bracket's upper end: the root theta* ~ pi/(2M)
 #: shrinks as M = n + 3m grows while |g'| near it grows like 2M, so an
@@ -51,7 +50,8 @@ from .laurent import (
 DEFAULT_BISECTION_WIDTH = 1e-12
 #: |Delta(e^(i*theta_star))| must stay below this.
 DEFAULT_RESIDUAL_BOUND = 1e-8
-#: Panels per unit of M = n + 3m in the monotonicity check.
+#: Finest monotonicity panels per unit of M = n + 3m: a panel this narrow
+#: that still fails to bridge fails the certificate.
 PANELS_PER_UNIT = 64
 #: Grid points per unit of span in the generic root scan.
 DEFAULT_GRID_FACTOR = 8
@@ -66,10 +66,9 @@ class CertificateKind(enum.Enum):
 class MonotonicityWitness:
     """Record of the derivative check that makes a sign-change bracket a proof."""
 
-    panels: int
-    panel_width: float
-    min_lower_bound: float  # min over the grid of sin((M + 1/2) * theta)
-    min_neg_derivative: float  # min over the grid of -g'
+    panels: int  # adaptive panels kept
+    panel_width: float  # narrowest kept panel
+    min_neg_derivative: float  # min of -g' over the evaluated points
     second_derivative_bound: float
 
 
@@ -111,20 +110,38 @@ def circle_function_derivative(params: FamilyParams, theta: float) -> float:
     )
 
 
-def _grid_neg_derivative(params: FamilyParams, thetas):
-    import numpy as np
+def _float_margin(scale: float) -> float:
+    # Conservative room for floating-point error in one evaluation of g or
+    # -g'; scale grows with their frequencies and term sizes.
+    return 1e-9 + 16.0 * sys.float_info.epsilon * scale
 
+
+def _monotone_witness(params: FamilyParams, lo: float, hi: float) -> MonotonicityWitness:
+    """Prove -g' > 0 on [lo, hi] on adaptive panels; raises CertificationFailed."""
     big, small = _frequencies(params)
-    return (
-        np.sin(0.5 * thetas) * np.cos(big * thetas)
-        + 2.0 * big * np.cos(0.5 * thetas) * np.sin(big * thetas)
-        + small * np.sin(small * thetas)
-    )
+    lipschitz = (big + 0.5) ** 2 + big**2 + small**2
+    margin = _float_margin(2 * big + abs(small) + 2)
+    finest = (hi - lo) / (PANELS_PER_UNIT * big)
 
+    def neg_derivative(theta: float) -> float:
+        return -circle_function_derivative(params, theta)
 
-def _sign_margin(params: FamilyParams) -> float:
-    # Conservative room for floating-point error in one evaluation of g.
-    return 1e-9 + 16.0 * sys.float_info.epsilon * (params.n + 3 * params.m + 2)
+    at_lo, at_hi = neg_derivative(lo), neg_derivative(hi)
+    lowest, narrowest, panels = min(at_lo, at_hi), hi - lo, 0
+    pending = [(lo, at_lo, hi, at_hi)]
+    while pending:
+        a, at_a, b, at_b = pending.pop()
+        if min(at_a, at_b) - 0.5 * lipschitz * (b - a) > margin:
+            panels += 1
+            narrowest = min(narrowest, b - a)
+            continue
+        if b - a <= finest:
+            raise CertificationFailed(f"monotonicity does not bridge on [{a}, {b}]")
+        mid = 0.5 * (a + b)
+        at_mid = neg_derivative(mid)
+        lowest = min(lowest, at_mid)
+        pending += [(mid, at_mid, b, at_b), (a, at_a, mid, at_mid)]
+    return MonotonicityWitness(panels, narrowest, lowest, lipschitz)
 
 
 def _bisect(params: FamilyParams, lo: float, hi: float, width: float) -> float:
@@ -152,9 +169,13 @@ def certify_family_root(
     explicit margin, so a certificate is only ever issued when the evidence
     actually holds for the given parameters.
     """
+    if not 0.0 <= bisection_width < math.inf:
+        raise ValueError(
+            f"bisection width must be finite and non-negative, got {bisection_width}"
+        )
     n, m = params.n, params.m
-    big, small = _frequencies(params)
-    margin = _sign_margin(params)
+    big, _ = _frequencies(params)
+    margin = _float_margin(big + 2)
 
     if n == 1:
         theta_star = (2.0 * math.pi / 3.0) / big
@@ -192,29 +213,8 @@ def certify_family_root(
     if not g_hi < -margin:
         raise CertificationFailed(f"g({theta_hi}) = {g_hi} not negative beyond margin")
 
-    import numpy as np
-
-    panels = PANELS_PER_UNIT * big
-    thetas = np.linspace(theta_lo, theta_hi, panels + 1)
-    neg_deriv = _grid_neg_derivative(params, thetas)
-    lower = np.sin((big + 0.5) * thetas)
-    slack = 1e-9 * (1.0 + big)
-    if not np.all(neg_deriv >= lower - slack):
-        raise CertificationFailed("derivative lower bound failed on the panel grid")
-    lipschitz = (big + 0.5) ** 2 + big**2 + small**2
-    width = (theta_hi - theta_lo) / panels
-    bridged = np.minimum(neg_deriv[:-1], neg_deriv[1:]) - 0.5 * lipschitz * width
-    if not np.all(bridged > 0.0):
-        raise CertificationFailed("monotonicity does not bridge between panel points")
-
+    witness = _monotone_witness(params, theta_lo, theta_hi)
     theta_star = _bisect(params, theta_lo, theta_hi, bisection_width)
-    witness = MonotonicityWitness(
-        panels=panels,
-        panel_width=width,
-        min_lower_bound=float(lower.min()),
-        min_neg_derivative=float(neg_deriv.min()),
-        second_derivative_bound=float(lipschitz),
-    )
     return RootCertificate(
         CertificateKind.INTERVAL_SIGN_CHANGE,
         theta_lo,
@@ -303,8 +303,6 @@ def find_simple_roots(
     the ``simple`` flag additionally requires the analytic derivative at the
     bisected point to exceed 1e-6 * max|c| * span.
     """
-    import numpy as np
-
     if grid_factor < 1:
         raise ValueError("grid_factor must be at least 1")
     coeffs = centered_cosine_form(p)
@@ -312,10 +310,9 @@ def find_simple_roots(
     if spread == 0:
         return []
     count = grid_factor * spread
-    thetas = np.linspace(0.0, math.pi, count + 2)[1:-1]
-    wave = np.arange(1, len(coeffs))
-    weights = np.asarray(coeffs[1:], dtype=float)
-    values = coeffs[0] + 2.0 * (np.cos(np.outer(thetas, wave)) @ weights)
+    step = math.pi / (count + 1)
+    thetas = [j * step for j in range(1, count + 1)]
+    values = [centered_cosine_value(coeffs, theta) for theta in thetas]
 
     threshold = 1e-6 * max(abs(c) for c in coeffs) * spread
     roots: list[CircleRoot] = []
@@ -332,10 +329,10 @@ def find_simple_roots(
             emit(
                 thetas[j - 1] if j > 0 else 0.0,
                 thetas[j + 1] if j + 1 < len(thetas) else math.pi,
-                float(thetas[j]),
-                bool(left * right < 0),
+                thetas[j],
+                left * right < 0,
             )
         elif j + 1 < len(thetas) and values[j + 1] != 0.0 and value * values[j + 1] < 0:
-            star = _bisect_cosine(coeffs, float(thetas[j]), float(thetas[j + 1]))
-            emit(float(thetas[j]), float(thetas[j + 1]), star, True)
+            star = _bisect_cosine(coeffs, thetas[j], thetas[j + 1])
+            emit(thetas[j], thetas[j + 1], star, True)
     return roots

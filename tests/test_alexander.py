@@ -11,8 +11,6 @@ from knotalex import alexander, foxcalc
 from knotalex.alexander import (
     alexander_matrix,
     alexander_polynomial,
-    circle_numerator,
-    circle_numerator_value,
     closed_form_alexander,
     torus_knot_alexander,
 )
@@ -20,6 +18,7 @@ from knotalex.errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
 from knotalex.family import FamilyParams, knot_group_presentation
 from knotalex.foxcalc import abelianize, compute_weights, fox_derivative
 from knotalex.laurent import LaurentPoly, eval_unit_circle
+from knotalex.rootcert import circle_function
 from knotalex.words import Presentation, Word, parse_presentation
 
 TREFOIL_PRESENTATION = parse_presentation("gens: x y\nrel: x y x (y x y)^-1\n")
@@ -269,11 +268,7 @@ class TestTorusKnots:
 
 
 class TestCircleNumerator:
-    def test_frequencies(self):
-        assert circle_numerator(2, 1) == ((5.5, 1), (4.5, 1), (0.5, 1))
-
-    def test_value_at_zero(self):
-        assert circle_numerator_value(3, 4, 0.0) == pytest.approx(6.0)
+    """2*g(theta) is the numerator of Delta transported to the unit circle."""
 
     def test_matches_polynomial_on_circle(self):
         theta = 0.3
@@ -281,7 +276,9 @@ class TestCircleNumerator:
         lhs = abs(eval_unit_circle(delta, theta)) * abs(
             2 * math.cos(theta / 2) * (2 * math.cos(theta) + 1)
         )
-        assert lhs == pytest.approx(abs(circle_numerator_value(2, 1, theta)), abs=1e-9)
+        assert lhs == pytest.approx(
+            abs(2 * circle_function(FamilyParams(2, 1), theta)), abs=1e-9
+        )
 
     def test_matches_polynomial_on_circle_grid(self):
         for n, m in [(1, 1), (2, 3), (4, 2), (7, 5)]:
@@ -291,5 +288,5 @@ class TestCircleNumerator:
                     2 * math.cos(theta / 2) * (2 * math.cos(theta) + 1)
                 )
                 assert lhs == pytest.approx(
-                    abs(circle_numerator_value(n, m, theta)), abs=1e-8
+                    abs(2 * circle_function(FamilyParams(n, m), theta)), abs=1e-8
                 )

@@ -190,6 +190,12 @@ class TestCertify:
         assert code == 0
         assert abs(json.loads(out)["theta_star"] - 2 * math.pi / 15) < 1e-5
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-6"])
+    def test_bad_tolerance_rejected(self, capsys, tol):
+        code, out, err = run(capsys, ["certify", "--n", "2", "--m", "1", f"--tol={tol}"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ValueError: bisection width must be finite")
+
 
 class TestClassify:
     def test_not_left_orderable(self, capsys):
