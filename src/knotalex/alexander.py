@@ -17,17 +17,25 @@ rejected from the exponent sums alone.
 
 The built-in twisted torus knot family admits a closed form: the normalized
 quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by
-(t + 1)(t^2 + t + 1).  For n = 2 the family degenerates to (3, 3m+2) torus
-knots, which gives an independent cross-check against the classical torus
-knot formula.
+(t + 1)(t^2 + t + 1).  Since
+
+    1 / ((t + 1)(t^2 + t + 1)) = (1 - 2t + 2t^2 - t^3) / (1 - t^6),
+
+the quotient is the six-term numerator times that cubic (at most 24 terms),
+divided by 1 - t^6: on one dense coefficient list, six running sums, one per
+residue class of exponents mod 6.  The division is exact exactly when every
+entry above the span 2n + 6m - 2 is zero.  For n = 2 the family degenerates
+to (3, 3m+2) torus knots, which gives an independent cross-check against the
+classical torus knot formula.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from itertools import accumulate, compress
 
-from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
+from .errors import NotAKnotPolynomial, NotCoprime, NotDivisible, ZeroWeightColumn
 from .foxcalc import Weights, _abelianized_row, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
 from .words import Presentation
@@ -157,19 +165,22 @@ def closed_form_alexander(n: int, m: int) -> LaurentPoly:
     """Closed-form Alexander polynomial of the (n, m) twisted torus knot."""
     if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
         raise ValueError("closed form requires integers n >= 1 and m >= 1")
-    # Exponent collisions, were they ever to occur, must accumulate.
-    numerator = LaurentPoly(
-        [
-            (0, 1),
-            (1, 1),
-            (3 * m + 2, 1),
-            (2 * n + 3 * m - 1, 1),
-            (2 * n + 6 * m, 1),
-            (2 * n + 6 * m + 1, 1),
-        ]
-    )
-    denominator = LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1})  # (t+1)(t^2+t+1)
-    return normalize_knot_poly(exact_div(numerator, denominator))
+    top = 2 * n + 6 * m + 1
+    span = top - 3
+    dense = [0] * (top + 4)
+    # The numerator times 1 - 2t + 2t^2 - t^3.  Exponent collisions, were
+    # they ever to occur, must accumulate.
+    for exp in (0, 1, 3 * m + 2, 2 * n + 3 * m - 1, 2 * n + 6 * m, top):
+        dense[exp] += 1
+        dense[exp + 1] -= 2
+        dense[exp + 2] += 2
+        dense[exp + 3] -= 1
+    for residue in range(6):  # divide by 1 - t^6
+        dense[residue::6] = accumulate(dense[residue::6])
+    if any(dense[span + 1 :]):
+        raise NotDivisible("remainder is nonzero")
+    coeffs = dict(zip(compress(range(span + 1), dense), filter(None, dense)))
+    return normalize_knot_poly(LaurentPoly._trusted(coeffs))
 
 
 def torus_knot_alexander(p: int, q: int) -> LaurentPoly:

@@ -3,8 +3,8 @@
 A polynomial is a map from integer exponents to nonzero integer coefficients;
 Python integers make every operation exact at arbitrary precision.  The zero
 polynomial is the empty map.  Constructors accept mappings or (exponent,
-coefficient) pairs and accumulate duplicate exponents additively, which is
-what the closed-form builders rely on when exponents collide.
+coefficient) pairs, check their types and accumulate duplicate exponents
+additively; results of the module's own arithmetic skip those checks.
 
 Knot polynomials are defined only up to a unit +-t^k; ``normalize_knot_poly``
 picks the representative with minimum degree zero and value +1 at t = 1.
@@ -46,6 +46,17 @@ class LaurentPoly:
                 else:
                     del data[exp]
         self._coeffs = data
+
+    @classmethod
+    def _trusted(cls, coeffs: dict[int, int]) -> LaurentPoly:
+        """Wrap a dict of int exponents to nonzero int coefficients, unchecked.
+
+        The result takes ownership of ``coeffs``; callers hand over a fresh
+        dict that already satisfies the invariant.
+        """
+        out = cls.__new__(cls)
+        out._coeffs = coeffs
+        return out
 
     @classmethod
     def zero(cls) -> LaurentPoly:
@@ -117,16 +128,14 @@ class LaurentPoly:
                 data[exp] = total
             else:
                 data.pop(exp, None)
-        out = LaurentPoly.zero()
-        out._coeffs = data
-        return out
+        return LaurentPoly._trusted(data)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        out = LaurentPoly.zero()
-        out._coeffs = {exp: -coeff for exp, coeff in self._coeffs.items()}
-        return out
+        return LaurentPoly._trusted(
+            {exp: -coeff for exp, coeff in self._coeffs.items()}
+        )
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -153,9 +162,7 @@ class LaurentPoly:
                     data[exp] = total
                 else:
                     del data[exp]
-        out = LaurentPoly.zero()
-        out._coeffs = data
-        return out
+        return LaurentPoly._trusted(data)
 
     __rmul__ = __mul__
 
@@ -220,18 +227,22 @@ def exact_div(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                 rem[i + j] -= coeff * d
     if any(rem):
         raise NotDivisible("remainder is nonzero")
-    return LaurentPoly({i + shift: c for i, c in enumerate(quot) if c})
+    return LaurentPoly._trusted({i + shift: c for i, c in enumerate(quot) if c})
 
 
 def normalize_knot_poly(p: LaurentPoly) -> LaurentPoly:
     """Unique representative of +-t^k * p with min degree 0 and value +1 at t=1."""
     if p.is_zero:
         raise NotAKnotPolynomial("the zero polynomial cannot be normalized")
-    value = sum(c for _, c in p.items())
+    value = sum(p._coeffs.values())
     if value not in (1, -1):
         raise NotAKnotPolynomial(f"value at t = 1 is {value}, expected +1 or -1")
     low = p.min_degree
-    return LaurentPoly({exp - low: value * coeff for exp, coeff in p.items()})
+    if value == 1 and low == 0:
+        return p  # already the representative; polynomials are immutable
+    return LaurentPoly._trusted(
+        {exp - low: value * coeff for exp, coeff in p._coeffs.items()}
+    )
 
 
 def is_palindromic(p: LaurentPoly) -> bool:

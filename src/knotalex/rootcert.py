@@ -231,7 +231,12 @@ def residual_at_certified_root(
     certificate: RootCertificate,
     bound: float = DEFAULT_RESIDUAL_BOUND,
 ) -> float:
-    """|Delta(e^(i*theta_star))| for the closed-form polynomial; must be < bound."""
+    """|Delta(e^(i*theta_star))| for the closed-form polynomial; must be < bound.
+
+    The residual is still computed on the fully expanded polynomial, summed
+    term by term in ascending exponent order, not from g: it checks the
+    certificate against Delta itself, independently of the circle function.
+    """
     delta = closed_form_alexander(params.n, params.m)
     residual = abs(eval_unit_circle(delta, certificate.theta_star))
     if not residual < bound:
@@ -324,8 +329,12 @@ def find_simple_roots(
     for j in range(len(thetas)):
         value = values[j]
         if value == 0.0:
-            left = values[j - 1] if j > 0 else values[j + 1]
-            right = values[j + 1] if j + 1 < len(values) else values[j - 1]
+            left = values[j - 1] if j > 0 else centered_cosine_value(coeffs, 0.0)
+            right = (
+                values[j + 1]
+                if j + 1 < len(values)
+                else centered_cosine_value(coeffs, math.pi)
+            )
             emit(
                 thetas[j - 1] if j > 0 else 0.0,
                 thetas[j + 1] if j + 1 < len(thetas) else math.pi,

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from _strategies import laurent_polys
@@ -17,7 +17,12 @@ from knotalex.alexander import (
 from knotalex.errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
 from knotalex.family import FamilyParams, knot_group_presentation
 from knotalex.foxcalc import abelianize, compute_weights, fox_derivative
-from knotalex.laurent import LaurentPoly, eval_unit_circle
+from knotalex.laurent import (
+    LaurentPoly,
+    eval_unit_circle,
+    exact_div,
+    normalize_knot_poly,
+)
 from knotalex.rootcert import circle_function
 from knotalex.words import Presentation, Word, parse_presentation
 
@@ -223,7 +228,47 @@ class TestPipeline:
             assert alexander_polynomial(p) == expected, relator
 
 
+def _closed_form_oracle(n: int, m: int) -> LaurentPoly:
+    """The family polynomial by long division of the six-term numerator."""
+    numerator = LaurentPoly(
+        [
+            (0, 1),
+            (1, 1),
+            (3 * m + 2, 1),
+            (2 * n + 3 * m - 1, 1),
+            (2 * n + 6 * m, 1),
+            (2 * n + 6 * m + 1, 1),
+        ]
+    )
+    denominator = LaurentPoly({0: 1, 1: 2, 2: 2, 3: 1})  # (t+1)(t^2+t+1)
+    return normalize_knot_poly(exact_div(numerator, denominator))
+
+
 class TestClosedForm:
+    def test_matches_division_oracle_on_grid(self):
+        for n in range(1, 41):
+            for m in range(1, 41):
+                assert closed_form_alexander(n, m) == _closed_form_oracle(n, m), (n, m)
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        m=st.integers(min_value=1, max_value=5000),
+    )
+    @example(n=100000, m=10000)
+    @example(n=150000, m=1)
+    def test_matches_division_oracle(self, n, m):
+        assert closed_form_alexander(n, m) == _closed_form_oracle(n, m)
+
+    def test_needs_no_long_division(self, monkeypatch):
+        expected = _closed_form_oracle(300, 300)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form ran a long division")
+
+        monkeypatch.setattr(alexander, "exact_div", refuse)
+        assert closed_form_alexander(300, 300) == expected
+
     def test_small_members(self):
         assert closed_form_alexander(1, 1) == T34
         assert closed_form_alexander(2, 1) == T35

@@ -183,6 +183,28 @@ class TestCertify:
         assert lines[2].startswith("theta_star: ")
         assert float(lines[2].split(": ")[1]) == pytest.approx(math.pi / 6)
 
+    def test_exact_text_output(self, capsys):
+        code, out, _ = run(capsys, ["certify", "--n", "2", "--m", "1"])
+        assert code == 0
+        assert out == (
+            "kind: IntervalSignChange\n"
+            "interval: (0.3141592653589793, 0.5711986642890533)\n"
+            "theta_star: 0.4188790204786347\n"
+            "g_lo: 0.9876883405951379\n"
+            "g_hi: -0.8817605592166836\n"
+            "residual: 1.329e-14\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n, m, residual", [(26490, 1194, "2.494e-13"), (100000, 10000, "2.743e-13")]
+    )
+    def test_residual_digits(self, capsys, n, m, residual):
+        # the digits depend on the expanded polynomial and on the order in
+        # which eval_unit_circle sums its terms
+        code, out, _ = run(capsys, ["certify", "--n", str(n), "--m", str(m)])
+        assert code == 0
+        assert out.splitlines()[-1] == f"residual: {residual}"
+
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(
             capsys, ["certify", "--n", "2", "--m", "1", "--tol", "1e-6", "--json"]

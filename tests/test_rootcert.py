@@ -225,6 +225,14 @@ class TestFindSimpleRoots:
             assert abs(inside[0].theta_star - cert.theta_star) < 1e-9, (n, m)
             assert inside[0].simple, (n, m)
 
+    def test_root_on_first_grid_point(self):
+        # at grid factor 1 the first grid point is pi/5, a root of T(2, 5);
+        # its outer neighbour is theta = 0, where the form is +1
+        roots = find_simple_roots(torus_knot_alexander(2, 5), grid_factor=1)
+        assert roots[0].theta_lo == 0.0
+        assert roots[0].theta_star == math.pi / 5
+        assert roots[0].odd_multiplicity and roots[0].simple
+
     def test_constant_polynomial_has_no_roots(self):
         assert find_simple_roots(LaurentPoly.one()) == []
 
