@@ -24,7 +24,10 @@ quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by
 the quotient is the six-term numerator times that cubic (at most 24 terms),
 divided by 1 - t^6: on one dense coefficient list, six running sums, one per
 residue class of exponents mod 6.  The division is exact exactly when every
-entry above the span 2n + 6m - 2 is zero.  For n = 2 the family degenerates
+entry above the span 2n + 6m - 2 is zero.  The resulting list is already the
+normalized representative (constant term 1, coefficients summing to 1), so
+the certificate residual in ``rootcert`` sums it directly, without building
+the polynomial.  For n = 2 the family degenerates
 to (3, 3m+2) torus knots, which gives an independent cross-check against the
 classical torus knot formula.
 """
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 
 from .errors import NotAKnotPolynomial, NotCoprime, NotDivisible, ZeroWeightColumn
 from .foxcalc import Weights, _abelianized_row, compute_weights
@@ -161,8 +164,12 @@ def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> Laurent
     return normalize_knot_poly(exact_div(numerator, denominator))
 
 
-def closed_form_alexander(n: int, m: int) -> LaurentPoly:
-    """Closed-form Alexander polynomial of the (n, m) twisted torus knot."""
+def _closed_form_coefficients(n: int, m: int) -> list[int]:
+    """Dense coefficients of the (n, m) closed form, degrees 0..2n + 6m - 2.
+
+    The list is already the normalized representative: its constant term is
+    1 and its entries sum to 1.
+    """
     if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
         raise ValueError("closed form requires integers n >= 1 and m >= 1")
     top = 2 * n + 6 * m + 1
@@ -179,7 +186,14 @@ def closed_form_alexander(n: int, m: int) -> LaurentPoly:
         dense[residue::6] = accumulate(dense[residue::6])
     if any(dense[span + 1 :]):
         raise NotDivisible("remainder is nonzero")
-    coeffs = dict(zip(compress(range(span + 1), dense), filter(None, dense)))
+    del dense[span + 1 :]
+    return dense
+
+
+def closed_form_alexander(n: int, m: int) -> LaurentPoly:
+    """Closed-form Alexander polynomial of the (n, m) twisted torus knot."""
+    dense = _closed_form_coefficients(n, m)
+    coeffs = dict(zip(compress(count(), dense), filter(None, dense)))
     return normalize_knot_poly(LaurentPoly._trusted(coeffs))
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .errors import (
@@ -256,11 +257,20 @@ def is_palindromic(p: LaurentPoly) -> bool:
     )
 
 
+def _unit_circle_sum(exps: Iterable[int], coeffs: Iterable[int], theta: float) -> complex:
+    """Sum of coeff * e^(i*theta*exp) over paired terms, left to right."""
+    powers = map(cmath.exp, map((1j * theta).__mul__, exps))
+    return sum(map(mul, coeffs, powers)) + 0j
+
+
 def eval_unit_circle(p: LaurentPoly, theta: float) -> complex:
-    """Value of p at e^(i*theta)."""
-    return sum(
-        coeff * cmath.exp(1j * (exp * theta)) for exp, coeff in p.items()
-    ) + 0j
+    """Value of p at e^(i*theta).
+
+    The terms coeff * e^(i*theta*exp) are added left to right in ascending
+    exponent order; the last digits of the result depend on that order.
+    """
+    exps = sorted(p._coeffs)
+    return _unit_circle_sum(exps, map(p._coeffs.__getitem__, exps), theta)
 
 
 def centered_cosine_form(p: LaurentPoly) -> list[int]:

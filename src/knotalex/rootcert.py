@@ -32,15 +32,16 @@ import dataclasses
 import enum
 import math
 import sys
+from itertools import compress, count
 
-from .alexander import closed_form_alexander
+from .alexander import _closed_form_coefficients
 from .errors import CertificationFailed, ResidualTooLarge
 from .family import FamilyParams
 from .laurent import (
     LaurentPoly,
+    _unit_circle_sum,
     centered_cosine_form,
     centered_cosine_value,
-    eval_unit_circle,
 )
 
 #: Bisection stops when the bracket is narrower than this.  The family
@@ -233,12 +234,18 @@ def residual_at_certified_root(
 ) -> float:
     """|Delta(e^(i*theta_star))| for the closed-form polynomial; must be < bound.
 
-    The residual is still computed on the fully expanded polynomial, summed
-    term by term in ascending exponent order, not from g: it checks the
-    certificate against Delta itself, independently of the circle function.
+    The residual is still computed on the fully expanded polynomial, not from
+    g: it sums the same dense coefficients that ``closed_form_alexander``
+    wraps, term by term in ascending exponent order, with the summation
+    ``eval_unit_circle`` uses.  It checks the certificate against Delta
+    itself, independently of the circle function.
     """
-    delta = closed_form_alexander(params.n, params.m)
-    residual = abs(eval_unit_circle(delta, certificate.theta_star))
+    dense = _closed_form_coefficients(params.n, params.m)
+    residual = abs(
+        _unit_circle_sum(
+            compress(count(), dense), filter(None, dense), certificate.theta_star
+        )
+    )
     if not residual < bound:
         raise ResidualTooLarge(
             f"residual {residual} at theta_star {certificate.theta_star} "
@@ -303,10 +310,12 @@ def find_simple_roots(
     """Scan a palindromic even-span polynomial for unit-circle roots in (0, pi).
 
     The centered cosine form is sampled on a uniform grid of
-    grid_factor * span interior points; each sign change is bisected.  Roots
-    are reported with odd multiplicity (that is what a sign change shows);
-    the ``simple`` flag additionally requires the analytic derivative at the
-    bisected point to exceed 1e-6 * max|c| * span.
+    grid_factor * span interior points plus the ends 0 and pi; each sign
+    change between neighbouring samples, the two end cells included, is
+    bisected.  A zero exactly at 0 or pi lies outside the open interval and is
+    not reported.  Roots are reported with odd multiplicity (that is what a
+    sign change shows); the ``simple`` flag additionally requires the
+    analytic derivative at the bisected point to exceed 1e-6 * max|c| * span.
     """
     if grid_factor < 1:
         raise ValueError("grid_factor must be at least 1")
@@ -314,9 +323,9 @@ def find_simple_roots(
     spread = 2 * (len(coeffs) - 1)
     if spread == 0:
         return []
-    count = grid_factor * spread
-    step = math.pi / (count + 1)
-    thetas = [j * step for j in range(1, count + 1)]
+    interior = grid_factor * spread
+    step = math.pi / (interior + 1)
+    thetas = [0.0, *(j * step for j in range(1, interior + 1)), math.pi]
     values = [centered_cosine_value(coeffs, theta) for theta in thetas]
 
     threshold = 1e-6 * max(abs(c) for c in coeffs) * spread
@@ -326,22 +335,11 @@ def find_simple_roots(
         simple = abs(_cosine_derivative(coeffs, star)) > threshold
         roots.append(CircleRoot(lo, hi, star, odd, simple))
 
-    for j in range(len(thetas)):
-        value = values[j]
-        if value == 0.0:
-            left = values[j - 1] if j > 0 else centered_cosine_value(coeffs, 0.0)
-            right = (
-                values[j + 1]
-                if j + 1 < len(values)
-                else centered_cosine_value(coeffs, math.pi)
-            )
-            emit(
-                thetas[j - 1] if j > 0 else 0.0,
-                thetas[j + 1] if j + 1 < len(thetas) else math.pi,
-                thetas[j],
-                left * right < 0,
-            )
-        elif j + 1 < len(thetas) and values[j + 1] != 0.0 and value * values[j + 1] < 0:
+    for j in range(interior + 1):
+        value, after = values[j], values[j + 1]
+        if j and value == 0.0:
+            emit(thetas[j - 1], thetas[j + 1], thetas[j], values[j - 1] * after < 0)
+        elif after != 0.0 and value * after < 0:
             star = _bisect_cosine(coeffs, thetas[j], thetas[j + 1])
             emit(thetas[j], thetas[j + 1], star, True)
     return roots

@@ -1,4 +1,6 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and oracles for the test suite."""
+
+import cmath
 
 from hypothesis import strategies as st
 
@@ -23,3 +25,10 @@ def laurent_polys(max_terms: int = 6) -> st.SearchStrategy[LaurentPoly]:
         values=st.integers(min_value=-9, max_value=9).filter(lambda c: c != 0),
         max_size=max_terms,
     ).map(LaurentPoly)
+
+
+def _eval_oracle(p: LaurentPoly, theta: float) -> complex:
+    """Reference value of p at e^(i*theta): one generator over p.items()."""
+    return sum(
+        coeff * cmath.exp(1j * (exp * theta)) for exp, coeff in p.items()
+    ) + 0j

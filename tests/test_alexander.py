@@ -282,6 +282,15 @@ class TestClosedForm:
             assert p.min_degree == 0
             assert p.evaluate(1) == 1
 
+    def test_normalization_is_identity(self):
+        # the dense coefficients are already the normalized representative,
+        # so the residual may sum them without building the polynomial
+        members = [(n, m) for n in range(1, 41) for m in range(1, 41)]
+        for n, m in [*members, (150000, 1), (100000, 10000)]:
+            dense = alexander._closed_form_coefficients(n, m)
+            assert len(dense) == 2 * n + 6 * m - 1
+            assert closed_form_alexander(n, m) == LaurentPoly(dict(enumerate(dense)))
+
     def test_torus_knot_degeneration(self):
         for m in range(1, 11):
             assert closed_form_alexander(2, m) == torus_knot_alexander(3, 3 * m + 2)

@@ -3,9 +3,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import knotalex
+from knotalex import alexander
 from knotalex.cli import main
 
 TREFOIL_TEXT = "gens: x y\nrel: x y x (y x y)^-1\n"
@@ -196,14 +202,33 @@ class TestCertify:
         )
 
     @pytest.mark.parametrize(
-        "n, m, residual", [(26490, 1194, "2.494e-13"), (100000, 10000, "2.743e-13")]
+        "n, m, residual, digits",
+        [
+            pytest.param(2, 1, "1.329e-14", "1.3290255342153596e-14", id="2-1-1.329e-14"),
+            pytest.param(
+                26490, 1194, "2.494e-13", "2.4936123211461984e-13",
+                id="26490-1194-2.494e-13",
+            ),
+            pytest.param(
+                100000, 10000, "2.743e-13", "2.742841877290437e-13",
+                id="100000-10000-2.743e-13",
+            ),
+            pytest.param(
+                150000, 1, "3.351e-13", "3.351254675953929e-13", id="150000-1-3.351e-13"
+            ),
+        ],
     )
-    def test_residual_digits(self, capsys, n, m, residual):
+    def test_residual_digits(self, capsys, n, m, residual, digits):
         # the digits depend on the expanded polynomial and on the order in
-        # which eval_unit_circle sums its terms
-        code, out, _ = run(capsys, ["certify", "--n", str(n), "--m", str(m)])
+        # which laurent._unit_circle_sum, shared by the residual and by
+        # eval_unit_circle, adds its terms
+        argv = ["certify", "--n", str(n), "--m", str(m)]
+        code, out, _ = run(capsys, argv)
         assert code == 0
         assert out.splitlines()[-1] == f"residual: {residual}"
+        code, out, _ = run(capsys, [*argv, "--json"])
+        assert code == 0
+        assert repr(json.loads(out)["residual"]) == digits
 
     def test_tolerance_flag(self, capsys):
         code, out, _ = run(
@@ -284,3 +309,36 @@ class TestTable:
         _, first, _ = run(capsys, ["table", "--n-max", "3", "--m-max", "2", "--tsv"])
         _, second, _ = run(capsys, ["table", "--n-max", "3", "--m-max", "2", "--tsv"])
         assert first == second
+
+    def test_builds_each_polynomial_once(self, capsys, monkeypatch):
+        original = alexander.closed_form_alexander
+        calls = []
+
+        def counted(n, m):
+            calls.append((n, m))
+            return original(n, m)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("knotalex") and (
+                getattr(module, "closed_form_alexander", None) is original
+            ):
+                monkeypatch.setattr(module, "closed_form_alexander", counted)
+        code, _, _ = run(capsys, ["table", "--n-max", "10", "--m-max", "10"])
+        assert code == 0
+        assert sorted(calls) == [(n, m) for n in range(1, 11) for m in range(1, 11)]
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(knotalex.__file__).parents[1]))
+    argv = ["certify", "--n", "2", "--m", "1"]
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+        )
+        for module in ("knotalex", "knotalex.cli")
+    ]
+    for done in outputs:
+        assert done.returncode == 0, done.stderr
+    assert outputs[0].stdout == outputs[1].stdout
+    assert outputs[0].stdout.startswith("kind: IntervalSignChange\n")

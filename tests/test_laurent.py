@@ -5,9 +5,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from _strategies import laurent_polys
+from _strategies import _eval_oracle, laurent_polys
 from knotalex.errors import (
     DivisionByZero,
     NotAKnotPolynomial,
@@ -161,6 +162,22 @@ class TestUnitCircle:
 
     def test_t35_at_primitive_15th_root(self):
         assert abs(eval_unit_circle(T35, 2 * math.pi / 15)) < 1e-9
+
+    @given(
+        p=st.dictionaries(
+            keys=st.integers(min_value=-300, max_value=300),
+            values=st.integers(min_value=-(2**80), max_value=2**80),
+            max_size=40,
+        ).map(LaurentPoly),
+        theta=st.sampled_from([0.0, -0.0, math.pi, -1.25, 5e3])
+        | st.floats(min_value=-1e4, max_value=1e4),
+    )
+    @example(p=LaurentPoly.zero(), theta=1.0)
+    @example(p=LaurentPoly({-3: 2**60 + 1, 0: -1, 7: 3}), theta=-0.0)
+    def test_bit_identical_to_oracle(self, p, theta):
+        # the printed residual digits depend on every term and on the order
+        # of the summation, so the value must match the oracle's bit for bit
+        assert repr(eval_unit_circle(p, theta)) == repr(_eval_oracle(p, theta))
 
 
 class TestCosineForm:

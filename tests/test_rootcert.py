@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from _strategies import _eval_oracle
 import knotalex
 from knotalex import rootcert
 from knotalex.alexander import closed_form_alexander, torus_knot_alexander
@@ -164,6 +165,16 @@ class TestResidual:
             cert = certify_family_root(params)
             assert residual_at_certified_root(params, cert) < 1e-8
 
+    def test_bit_identical_to_expanded_polynomial(self):
+        # summing the dense coefficients must give the value of the expanded
+        # polynomial, term for term and in the same order
+        members = [(n, m) for n in range(1, 41) for m in range(1, 41)]
+        for n, m in [*members, (150000, 1), (100000, 10000)]:
+            params = FamilyParams(n, m)
+            cert = certify_family_root(params)
+            expected = abs(_eval_oracle(closed_form_alexander(n, m), cert.theta_star))
+            assert repr(residual_at_certified_root(params, cert)) == repr(expected), (n, m)
+
     def test_unattainable_bound_raises(self):
         params = FamilyParams(2, 1)
         cert = certify_family_root(params)
@@ -232,6 +243,29 @@ class TestFindSimpleRoots:
         assert roots[0].theta_lo == 0.0
         assert roots[0].theta_star == math.pi / 5
         assert roots[0].odd_multiplicity and roots[0].simple
+
+    def test_roots_in_end_cells(self):
+        # at grid factor 1 the grid is k*pi/5; the form is -2.2e-16 at the
+        # last grid point 4*pi/5 and +1 at pi, so that root's sign change
+        # shows only in the end cell
+        cyclotomic = LaurentPoly({k: 1 for k in range(5)})
+        roots = find_simple_roots(cyclotomic, grid_factor=1)
+        assert [r.theta_star for r in roots] == pytest.approx(
+            [2 * math.pi / 5, 4 * math.pi / 5], abs=1e-10
+        )
+        assert roots[-1].theta_hi == math.pi
+        assert all(r.odd_multiplicity and r.simple for r in roots)
+
+    @pytest.mark.parametrize("grid_factor", [2, 3, 8])
+    def test_torus_knots_report_every_root(self, grid_factor):
+        # T(p, q) has (p-1)(q-1)/2 simple roots in the open upper half circle
+        for p in range(2, 8):
+            for q in range(p + 1, 60 // p + 1):
+                if math.gcd(p, q) != 1:
+                    continue
+                roots = find_simple_roots(torus_knot_alexander(p, q), grid_factor)
+                assert len(roots) == (p - 1) * (q - 1) // 2, (p, q)
+                assert all(r.odd_multiplicity and r.simple for r in roots), (p, q)
 
     def test_constant_polynomial_has_no_roots(self):
         assert find_simple_roots(LaurentPoly.one()) == []
