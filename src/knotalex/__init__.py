@@ -9,105 +9,75 @@ threshold.  A command-line front end (``knotalex``) exposes the same
 operations; see the README for usage.
 """
 
-from . import errors
-from .alexander import (
-    AlexanderMatrix,
-    alexander_matrix,
-    alexander_polynomial,
-    closed_form_alexander,
-    torus_knot_alexander,
-)
-from .family import (
-    FamilyParams,
-    SurgeryClassification,
-    SurgerySlope,
-    Verdict,
-    classify_surgery,
-    genus,
-    knot_group_presentation,
-    preferred_longitude,
-    slope_bound,
-)
-from .foxcalc import (
-    GroupRingElement,
-    Weights,
-    abelianize,
-    compute_weights,
-    fox_derivative,
-    geometric_series,
-)
-from .laurent import (
-    LaurentPoly,
-    centered_cosine_form,
-    centered_cosine_value,
-    eval_unit_circle,
-    exact_div,
-    format_poly,
-    from_json_dict,
-    is_palindromic,
-    normalize_knot_poly,
-    to_json_dict,
-)
-from .rootcert import (
-    CertificateKind,
-    CircleRoot,
-    MonotonicityWitness,
-    RootCertificate,
-    certificate_record,
-    certify_family_root,
-    circle_function,
-    circle_function_derivative,
-    find_simple_roots,
-    residual_at_certified_root,
-)
-from .words import Presentation, Word, parse_presentation, parse_word
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlexanderMatrix",
-    "CertificateKind",
-    "CircleRoot",
-    "FamilyParams",
-    "GroupRingElement",
-    "LaurentPoly",
-    "MonotonicityWitness",
-    "Presentation",
-    "RootCertificate",
-    "SurgeryClassification",
-    "SurgerySlope",
-    "Verdict",
-    "Weights",
-    "Word",
-    "abelianize",
-    "alexander_matrix",
-    "alexander_polynomial",
-    "centered_cosine_form",
-    "centered_cosine_value",
-    "certificate_record",
-    "certify_family_root",
-    "circle_function",
-    "circle_function_derivative",
-    "classify_surgery",
-    "closed_form_alexander",
-    "compute_weights",
-    "errors",
-    "eval_unit_circle",
-    "exact_div",
-    "find_simple_roots",
-    "format_poly",
-    "fox_derivative",
-    "from_json_dict",
-    "genus",
-    "geometric_series",
-    "is_palindromic",
-    "knot_group_presentation",
-    "normalize_knot_poly",
-    "parse_presentation",
-    "parse_word",
-    "preferred_longitude",
-    "residual_at_certified_root",
-    "slope_bound",
-    "to_json_dict",
-    "torus_knot_alexander",
-]
+#: Home module of each public name.  Names load on first access (PEP 562),
+#: so ``import knotalex`` and a command-line call import only the modules
+#: they use.
+_HOMES = {
+    "AlexanderMatrix": "alexander",
+    "alexander_matrix": "alexander",
+    "alexander_polynomial": "alexander",
+    "closed_form_alexander": "family",
+    "torus_knot_alexander": "alexander",
+    "FamilyParams": "family",
+    "SurgeryClassification": "family",
+    "SurgerySlope": "family",
+    "Verdict": "family",
+    "classify_surgery": "family",
+    "genus": "family",
+    "knot_group_presentation": "family",
+    "preferred_longitude": "family",
+    "slope_bound": "family",
+    "GroupRingElement": "foxcalc",
+    "Weights": "foxcalc",
+    "abelianize": "foxcalc",
+    "compute_weights": "foxcalc",
+    "fox_derivative": "foxcalc",
+    "geometric_series": "foxcalc",
+    "LaurentPoly": "laurent",
+    "centered_cosine_form": "laurent",
+    "centered_cosine_value": "laurent",
+    "eval_unit_circle": "laurent",
+    "exact_div": "laurent",
+    "format_poly": "laurent",
+    "from_json_dict": "laurent",
+    "is_palindromic": "laurent",
+    "normalize_knot_poly": "laurent",
+    "to_json_dict": "laurent",
+    "CertificateKind": "rootcert",
+    "CircleRoot": "rootcert",
+    "MonotonicityWitness": "rootcert",
+    "RootCertificate": "rootcert",
+    "certificate_record": "rootcert",
+    "certify_family_root": "rootcert",
+    "circle_function": "rootcert",
+    "circle_function_derivative": "rootcert",
+    "find_simple_roots": "rootcert",
+    "residual_at_certified_root": "rootcert",
+    "Presentation": "words",
+    "Word": "words",
+    "parse_presentation": "words",
+    "parse_word": "words",
+}
+_SUBMODULES = frozenset(
+    ("alexander", "cli", "errors", "family", "foxcalc", "laurent", "rootcert", "words")
+)
+
+__all__ = sorted([*_HOMES, "errors"])
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

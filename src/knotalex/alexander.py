@@ -15,30 +15,18 @@ matrix E, and the polynomial's value there is det(E_j) / e_j; that value is
 checked to be +-1 before any free derivative is taken, so torsion in H1 is
 rejected from the exponent sums alone.
 
-The built-in twisted torus knot family admits a closed form: the normalized
-quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by
-(t + 1)(t^2 + t + 1).  Since
-
-    1 / ((t + 1)(t^2 + t + 1)) = (1 - 2t + 2t^2 - t^3) / (1 - t^6),
-
-the quotient is the six-term numerator times that cubic (at most 24 terms),
-divided by 1 - t^6: on one dense coefficient list, six running sums, one per
-residue class of exponents mod 6.  The division is exact exactly when every
-entry above the span 2n + 6m - 2 is zero.  The resulting list is already the
-normalized representative (constant term 1, coefficients summing to 1), so
-the certificate residual in ``rootcert`` sums it directly, without building
-the polynomial.  For n = 2 the family degenerates
-to (3, 3m+2) torus knots, which gives an independent cross-check against the
-classical torus knot formula.
+The family's closed form lives in ``family`` and is re-exported here.  For
+n = 2 the family degenerates to (3, 3m+2) torus knots, which gives an
+independent cross-check against the classical torus knot formula.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from itertools import accumulate, compress, count
 
-from .errors import NotAKnotPolynomial, NotCoprime, NotDivisible, ZeroWeightColumn
+from ._record import record
+from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
+from .family import _closed_form_coefficients, closed_form_alexander  # noqa: F401
 from .foxcalc import Weights, _abelianized_row, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
 from .words import Presentation
@@ -46,7 +34,7 @@ from .words import Presentation
 AUTO = "auto"
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class AlexanderMatrix:
     """The (l-1) x l matrix of abelianized free derivatives of the relators."""
 
@@ -162,39 +150,6 @@ def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> Laurent
     numerator = _determinant(minor) * LaurentPoly({1: 1, 0: -1})
     denominator = LaurentPoly({weight: 1, 0: -1})
     return normalize_knot_poly(exact_div(numerator, denominator))
-
-
-def _closed_form_coefficients(n: int, m: int) -> list[int]:
-    """Dense coefficients of the (n, m) closed form, degrees 0..2n + 6m - 2.
-
-    The list is already the normalized representative: its constant term is
-    1 and its entries sum to 1.
-    """
-    if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
-        raise ValueError("closed form requires integers n >= 1 and m >= 1")
-    top = 2 * n + 6 * m + 1
-    span = top - 3
-    dense = [0] * (top + 4)
-    # The numerator times 1 - 2t + 2t^2 - t^3.  Exponent collisions, were
-    # they ever to occur, must accumulate.
-    for exp in (0, 1, 3 * m + 2, 2 * n + 3 * m - 1, 2 * n + 6 * m, top):
-        dense[exp] += 1
-        dense[exp + 1] -= 2
-        dense[exp + 2] += 2
-        dense[exp + 3] -= 1
-    for residue in range(6):  # divide by 1 - t^6
-        dense[residue::6] = accumulate(dense[residue::6])
-    if any(dense[span + 1 :]):
-        raise NotDivisible("remainder is nonzero")
-    del dense[span + 1 :]
-    return dense
-
-
-def closed_form_alexander(n: int, m: int) -> LaurentPoly:
-    """Closed-form Alexander polynomial of the (n, m) twisted torus knot."""
-    dense = _closed_form_coefficients(n, m)
-    coeffs = dict(zip(compress(count(), dense), filter(None, dense)))
-    return normalize_knot_poly(LaurentPoly._trusted(coeffs))
 
 
 def torus_knot_alexander(p: int, q: int) -> LaurentPoly:

@@ -17,29 +17,9 @@ deterministic: identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .alexander import AUTO, alexander_polynomial, closed_form_alexander
 from .errors import KnotAlexError
-from .family import (
-    FamilyParams,
-    SurgerySlope,
-    classify_surgery,
-    genus,
-    knot_group_presentation,
-    preferred_longitude,
-    slope_bound,
-)
-from .laurent import LaurentPoly, format_poly, to_json_dict
-from .rootcert import (
-    DEFAULT_BISECTION_WIDTH,
-    DEFAULT_RESIDUAL_BOUND,
-    certificate_record,
-    certify_family_root,
-    residual_at_certified_root,
-)
-from .words import parse_presentation
 
 
 def _read_source(path: str) -> str:
@@ -50,10 +30,14 @@ def _read_source(path: str) -> str:
 
 
 def _print_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _poly_output(poly: LaurentPoly, as_json: bool) -> None:
+    from .laurent import format_poly, to_json_dict
+
     if as_json:
         _print_json(to_json_dict(poly))
     else:
@@ -61,6 +45,8 @@ def _poly_output(poly: LaurentPoly, as_json: bool) -> None:
 
 
 def _cmd_parse(args: argparse.Namespace) -> int:
+    from .words import parse_presentation
+
     presentation = parse_presentation(_read_source(args.file))
     if args.json:
         _print_json(
@@ -76,13 +62,23 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_alexander(args: argparse.Namespace) -> int:
+    from .alexander import AUTO, alexander_polynomial
+    from .words import parse_presentation
+
     presentation = parse_presentation(_read_source(args.file))
-    poly = alexander_polynomial(presentation, via=args.via)
+    poly = alexander_polynomial(presentation, via=AUTO if args.via is None else args.via)
     _poly_output(poly, args.json)
     return 0
 
 
 def _cmd_family(args: argparse.Namespace) -> int:
+    from .family import (
+        FamilyParams,
+        closed_form_alexander,
+        knot_group_presentation,
+        preferred_longitude,
+    )
+
     params = FamilyParams(args.n, args.m)
     if args.emit == "presentation":
         print(knot_group_presentation(params).to_text(), end="")
@@ -94,11 +90,20 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
+    from .family import FamilyParams
+    from .rootcert import (
+        DEFAULT_BISECTION_WIDTH,
+        DEFAULT_RESIDUAL_BOUND,
+        certificate_record,
+        certify_family_root,
+    )
+
+    tol = DEFAULT_BISECTION_WIDTH if args.tol is None else args.tol
     params = FamilyParams(args.n, args.m)
-    certificate = certify_family_root(params, bisection_width=args.tol)
+    certificate = certify_family_root(params, bisection_width=tol)
     # the residual tracks the bracket width to first order, so relax the
     # acceptance bound proportionally when the user widens the bracket
-    bound = DEFAULT_RESIDUAL_BOUND * max(1.0, args.tol / DEFAULT_BISECTION_WIDTH)
+    bound = DEFAULT_RESIDUAL_BOUND * max(1.0, tol / DEFAULT_BISECTION_WIDTH)
     record = certificate_record(params, certificate, residual_bound=bound)
     if args.json:
         _print_json(record)
@@ -113,6 +118,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .family import FamilyParams, SurgerySlope, classify_surgery
+
     params = FamilyParams(args.n, args.m)
     slope = SurgerySlope(args.p, args.q)
     result = classify_surgery(params, slope)
@@ -134,19 +141,26 @@ _TABLE_HEADER = ("n", "m", "genus", "slope_bound", "span", "theta_star", "residu
 
 
 def _table_rows(n_max: int, m_max: int) -> tuple[list[tuple[str, ...]], bool]:
+    from .family import FamilyParams, _closed_form_coefficients, genus, slope_bound
+    from .rootcert import _dense_residual, certify_family_root
+
     rows = []
     failed = False
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
             params = FamilyParams(n, m)
+            # one dense list per member gives both the span and the residual
             try:
-                span = str(closed_form_alexander(n, m).span)
+                dense = _closed_form_coefficients(n, m)
+                span = str(len(dense) - 1)
             except KnotAlexError as exc:
-                span = f"!{type(exc).__name__}"
+                dense, span = None, f"!{type(exc).__name__}"
                 failed = True
             try:
                 certificate = certify_family_root(params)
-                residual = residual_at_certified_root(params, certificate)
+                if dense is None:  # re-raises the closed form's error
+                    dense = _closed_form_coefficients(n, m)
+                residual = _dense_residual(dense, certificate)
                 star = f"{certificate.theta_star:.12g}"
                 res = f"{residual:.3e}"
             except KnotAlexError as exc:
@@ -160,6 +174,11 @@ def _table_rows(n_max: int, m_max: int) -> tuple[list[tuple[str, ...]], bool]:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    if args.n_max < 1 or args.m_max < 1:
+        raise ValueError(
+            f"table bounds must be at least 1, got --n-max {args.n_max} "
+            f"--m-max {args.m_max}"
+        )
     rows, failed = _table_rows(args.n_max, args.m_max)
     table = [_TABLE_HEADER, *rows]
     if args.tsv:
@@ -189,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_alex.add_argument("--file", required=True, help="presentation file, or - for stdin")
     p_alex.add_argument(
         "--via",
-        default=AUTO,
         help="generator column to remove (default: auto = smallest positive weight)",
     )
     p_alex.add_argument("--json", action="store_true")
@@ -212,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify.add_argument(
         "--tol",
         type=float,
-        default=DEFAULT_BISECTION_WIDTH,
         help="bisection bracket width, relative to its upper end (default 1e-12)",
     )
     p_certify.add_argument("--json", action="store_true")

@@ -8,25 +8,43 @@ whose homology class is twice the meridian's.  Landmarks: (1, 1) is the
 (3, 4) torus knot, n = 2 gives the (3, 3m+2) torus knots, and m = 1 gives
 the (-2, 3, 2n+1) pretzel knots.
 
+The member's Alexander polynomial has a closed form: the normalized
+quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by
+(t + 1)(t^2 + t + 1).  Since
+
+    1 / ((t + 1)(t^2 + t + 1)) = (1 - 2t + 2t^2 - t^3) / (1 - t^6),
+
+the quotient is the six-term numerator times that cubic (at most 24 terms),
+divided by 1 - t^6: on one dense coefficient list, six running sums, one per
+residue class of exponents mod 6.  The division is exact exactly when every
+entry above the span 2n + 6m - 2 is zero.  The resulting list is already the
+normalized representative (constant term 1, coefficients summing to 1), so
+the certificate residual in ``rootcert`` sums it directly, without building
+the polynomial.
+
 ``classify_surgery`` applies the non-left-orderability threshold for this
 family: rational surgery with slope p/q >= 2n + 6m - 3 (which equals
 2*genus - 1) yields a 3-manifold whose fundamental group is not
 left-orderable.  Below the threshold nothing is concluded here; slopes
 sufficiently close to zero are known to give left-orderable groups, and the
 classification record carries a flag recalling that fact.
+
+The slope test and the closed form's coefficients need no other module of
+the package: words and polynomials are imported by the functions that build
+them, so a command-line call loads only what it runs.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
-from fractions import Fraction
+from itertools import accumulate, compress, count
 
-from .words import Presentation, Word
+from ._record import record
+from .errors import NotDivisible
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class FamilyParams:
     """Parameters of a family member; requires n >= 1 and m >= 1."""
 
@@ -40,12 +58,49 @@ class FamilyParams:
             raise ValueError("the family requires n >= 1 and m >= 1")
 
 
+def _closed_form_coefficients(n: int, m: int) -> list[int]:
+    """Dense coefficients of the (n, m) closed form, degrees 0..2n + 6m - 2.
+
+    The list is already the normalized representative: its constant term is
+    1 and its entries sum to 1.
+    """
+    if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
+        raise ValueError("closed form requires integers n >= 1 and m >= 1")
+    top = 2 * n + 6 * m + 1
+    span = top - 3
+    dense = [0] * (top + 4)
+    # The numerator times 1 - 2t + 2t^2 - t^3.  Exponent collisions, were
+    # they ever to occur, must accumulate.
+    for exp in (0, 1, 3 * m + 2, 2 * n + 3 * m - 1, 2 * n + 6 * m, top):
+        dense[exp] += 1
+        dense[exp + 1] -= 2
+        dense[exp + 2] += 2
+        dense[exp + 3] -= 1
+    for residue in range(6):  # divide by 1 - t^6
+        dense[residue::6] = accumulate(dense[residue::6])
+    if any(dense[span + 1 :]):
+        raise NotDivisible("remainder is nonzero")
+    del dense[span + 1 :]
+    return dense
+
+
+def closed_form_alexander(n: int, m: int) -> LaurentPoly:
+    """Closed-form Alexander polynomial of the (n, m) twisted torus knot."""
+    from .laurent import LaurentPoly, normalize_knot_poly
+
+    dense = _closed_form_coefficients(n, m)
+    coeffs = dict(zip(compress(count(), dense), filter(None, dense)))
+    return normalize_knot_poly(LaurentPoly._trusted(coeffs))
+
+
 def knot_group_presentation(params: FamilyParams) -> Presentation:
     """Two-generator, one-relator knot group presentation with meridian ``a``.
 
     The single relator equates w^n (aw)^m a^-1 (aw)^-m with
     (wa)^-m a (wa)^m w^(n-1).
     """
+    from .words import Presentation, Word
+
     n, m = params.n, params.m
     a = Word.generator("a")
     w = Word.generator("w")
@@ -63,6 +118,8 @@ def preferred_longitude(params: FamilyParams) -> Word:
     positive part; getting it wrong by any amount leaves a nonzero homology
     class, which the tests assert on the whole parameter grid.
     """
+    from .words import Word
+
     n, m = params.n, params.m
     a = Word.generator("a")
     w = Word.generator("w")
@@ -84,7 +141,7 @@ def slope_bound(params: FamilyParams) -> int:
     return bound
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class SurgerySlope:
     """A rational surgery slope p/q in lowest terms with q > 0.
 
@@ -112,6 +169,8 @@ class SurgerySlope:
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.p, self.q)
 
     def __str__(self) -> str:
@@ -123,7 +182,7 @@ class Verdict(enum.Enum):
     NO_CONCLUSION = "NoConclusion"
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class SurgeryClassification:
     """Outcome of the slope test for one family member and one slope."""
 
@@ -136,8 +195,11 @@ class SurgeryClassification:
 
 
 def classify_surgery(params: FamilyParams, slope: SurgerySlope) -> SurgeryClassification:
-    """Exact rational comparison of the slope against 2n + 6m - 3 (inclusive)."""
+    """Exact comparison of the slope against 2n + 6m - 3 (inclusive).
+
+    The slope keeps q > 0, so p/q >= bound exactly when p >= bound * q.
+    """
     bound = slope_bound(params)
-    if slope.value >= bound:
+    if slope.p >= bound * slope.q:
         return SurgeryClassification(Verdict.NOT_LEFT_ORDERABLE, bound, False)
     return SurgeryClassification(Verdict.NO_CONCLUSION, bound, True)

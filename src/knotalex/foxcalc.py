@@ -20,11 +20,11 @@ the exact reference it is tested against.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
+from ._record import record
 from .errors import H1RankNotOne
 from .laurent import LaurentPoly
 from .words import Presentation, Word
@@ -205,7 +205,7 @@ def fox_derivative(word: Word, gen: str) -> GroupRingElement:
     return GroupRingElement(terms)
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Weights:
     """Abelianization exponents: generator g is sent to t**weight(g).
 

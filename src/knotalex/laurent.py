@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Mapping, Union
 
@@ -106,6 +105,8 @@ class LaurentPoly:
             if self.min_degree < 0:
                 raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
             return self._coeffs.get(0, 0)
+        from fractions import Fraction
+
         total = Fraction(0)
         for exp, coeff in self._coeffs.items():
             total += coeff * Fraction(x) ** exp

@@ -28,15 +28,14 @@ judgment (a derivative-magnitude threshold), not a proof.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import sys
 from itertools import compress, count
 
-from .alexander import _closed_form_coefficients
+from ._record import record
 from .errors import CertificationFailed, ResidualTooLarge
-from .family import FamilyParams
+from .family import FamilyParams, _closed_form_coefficients
 from .laurent import (
     LaurentPoly,
     _unit_circle_sum,
@@ -63,7 +62,7 @@ class CertificateKind(enum.Enum):
     INTERVAL_SIGN_CHANGE = "IntervalSignChange"
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class MonotonicityWitness:
     """Record of the derivative check that makes a sign-change bracket a proof."""
 
@@ -73,7 +72,7 @@ class MonotonicityWitness:
     second_derivative_bound: float
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class RootCertificate:
     """A certified simple root of g (hence of the polynomial) in (0, 2*pi/3)."""
 
@@ -240,7 +239,17 @@ def residual_at_certified_root(
     ``eval_unit_circle`` uses.  It checks the certificate against Delta
     itself, independently of the circle function.
     """
-    dense = _closed_form_coefficients(params.n, params.m)
+    return _dense_residual(
+        _closed_form_coefficients(params.n, params.m), certificate, bound
+    )
+
+
+def _dense_residual(
+    dense: list[int],
+    certificate: RootCertificate,
+    bound: float = DEFAULT_RESIDUAL_BOUND,
+) -> float:
+    """The residual of ``residual_at_certified_root`` on a member's dense coefficients."""
     residual = abs(
         _unit_circle_sum(
             compress(count(), dense), filter(None, dense), certificate.theta_star
@@ -271,7 +280,7 @@ def certificate_record(
     }
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class CircleRoot:
     """A sign-change root of a centered cosine form on (0, pi)."""
 

@@ -26,10 +26,10 @@ optional; ``#`` starts a comment that runs to the end of the line.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 from typing import Iterable, Iterator
 
+from ._record import record
 from .errors import PresentationError, WordParseError
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -222,7 +222,7 @@ def parse_word(text: str, generators: Iterable[str]) -> Word:
     return _WordParser(_tokenize(text), frozenset(generators)).parse()
 
 
-@dataclasses.dataclass(frozen=True)
+@record
 class Presentation:
     """A deficiency-one group presentation with an optional marked meridian."""
 

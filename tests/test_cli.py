@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import knotalex
-from knotalex import alexander
+from knotalex import family
 from knotalex.cli import main
 
 TREFOIL_TEXT = "gens: x y\nrel: x y x (y x y)^-1\n"
@@ -310,8 +310,25 @@ class TestTable:
         _, second, _ = run(capsys, ["table", "--n-max", "3", "--m-max", "2", "--tsv"])
         assert first == second
 
+    @pytest.mark.parametrize(
+        "n_max, m_max", [(0, 3), (3, 0), (-1, 2)], ids=["n-0", "m-0", "n-neg"]
+    )
+    def test_bounds_below_one_rejected(self, capsys, n_max, m_max):
+        # a table needs at least one member; an empty rectangle is an error,
+        # as a family member below (1, 1) is, not a bare header
+        code, out, err = run(
+            capsys, ["table", "--n-max", str(n_max), "--m-max", str(m_max)]
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: ValueError: table bounds must be at least 1, "
+            f"got --n-max {n_max} --m-max {m_max}\n"
+        )
+
     def test_builds_each_polynomial_once(self, capsys, monkeypatch):
-        original = alexander.closed_form_alexander
+        # one dense coefficient list per member feeds both the span cell and
+        # the residual
+        original = family._closed_form_coefficients
         calls = []
 
         def counted(n, m):
@@ -321,24 +338,81 @@ class TestTable:
         for module in list(sys.modules.values()):
             name = getattr(module, "__name__", "")
             if name.startswith("knotalex") and (
-                getattr(module, "closed_form_alexander", None) is original
+                getattr(module, "_closed_form_coefficients", None) is original
             ):
-                monkeypatch.setattr(module, "closed_form_alexander", counted)
+                monkeypatch.setattr(module, "_closed_form_coefficients", counted)
         code, _, _ = run(capsys, ["table", "--n-max", "10", "--m-max", "10"])
         assert code == 0
         assert sorted(calls) == [(n, m) for n in range(1, 11) for m in range(1, 11)]
 
 
-def test_python_dash_m_runs_the_cli():
+#: One call per subcommand and output flag: argv and stdin.
+SUBCOMMAND_CALLS = [
+    (["parse", "--file", "-"], TREFOIL_TEXT),
+    (["parse", "--file", "-", "--json"], TREFOIL_TEXT),
+    (["alexander", "--file", "-"], TREFOIL_TEXT),
+    (["alexander", "--file", "-", "--json"], TREFOIL_TEXT),
+    (["family", "--n", "3", "--m", "2", "--emit", "presentation"], ""),
+    (["family", "--n", "3", "--m", "2", "--emit", "longitude"], ""),
+    (["family", "--n", "3", "--m", "2", "--emit", "alexander"], ""),
+    (["family", "--n", "3", "--m", "2", "--emit", "alexander", "--json"], ""),
+    (["certify", "--n", "2", "--m", "1"], ""),
+    (["certify", "--n", "2", "--m", "1", "--json"], ""),
+    (["classify", "--n", "3", "--m", "1", "--p", "13", "--q", "1"], ""),
+    (["classify", "--n", "3", "--m", "1", "--p", "13", "--q", "1", "--json"], ""),
+    (["table", "--n-max", "2", "--m-max", "2"], ""),
+    (["table", "--n-max", "2", "--m-max", "2", "--tsv"], ""),
+]
+
+
+def _fresh(argv, stdin="", module=None):
+    """Run a fresh interpreter on this checkout of the package."""
     env = dict(os.environ, PYTHONPATH=str(Path(knotalex.__file__).parents[1]))
+    command = ["-m", module] if module else []
+    return subprocess.run(
+        [sys.executable, *command, *argv],
+        input=stdin, capture_output=True, text=True, env=env,
+    )
+
+
+_LOADED_BY_MAIN = """\
+import sys
+before = set(sys.modules)
+import contextlib, io
+from knotalex import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin", SUBCOMMAND_CALLS, ids=[" ".join(argv) for argv, _ in SUBCOMMAND_CALLS]
+)
+def test_each_subcommand_imports_only_what_it_runs(argv, stdin):
+    # the modules a site .pth preloads are in ``before``, so they never count
+    done = _fresh(["-c", _LOADED_BY_MAIN, *argv], stdin)
+    assert done.returncode == 0, done.stderr
+    code, *loaded = done.stdout.split()
+    assert code == "0"
+    assert "knotalex.cli" in loaded
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    if argv[0] in ("family", "certify", "classify", "table"):
+        assert not {"knotalex.foxcalc", "knotalex.alexander", "fractions"} & set(loaded)
+    assert ("json" in loaded) == ("--json" in argv)
+
+
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
+    # a fresh process catches a missing function-local import that the warm
+    # modules of an in-process run would hide
+    for argv, stdin in SUBCOMMAND_CALLS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        expected = run(capsys, argv)
+        done = _fresh(argv, stdin, module="knotalex")
+        assert (done.returncode, done.stdout, done.stderr) == expected, argv
+        assert expected[0] == 0 and expected[1], argv
     argv = ["certify", "--n", "2", "--m", "1"]
-    outputs = [
-        subprocess.run(
-            [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
-        )
-        for module in ("knotalex", "knotalex.cli")
-    ]
-    for done in outputs:
-        assert done.returncode == 0, done.stderr
-    assert outputs[0].stdout == outputs[1].stdout
-    assert outputs[0].stdout.startswith("kind: IntervalSignChange\n")
+    done = _fresh(argv, module="knotalex.cli")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == _fresh(argv, module="knotalex").stdout
+    assert done.stdout.startswith("kind: IntervalSignChange\n")
