@@ -26,7 +26,7 @@ import math
 
 from ._record import record
 from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
-from .family import _closed_form_coefficients, closed_form_alexander  # noqa: F401
+from .family import closed_form_alexander  # noqa: F401
 from .foxcalc import Weights, _abelianized_row, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
 from .words import Presentation

@@ -10,8 +10,9 @@ Subcommands:
 * ``table``      family summary over a parameter rectangle
 
 Exit codes: 0 on success, 1 on domain errors (one machine-parseable line on
-stderr), 2 on usage errors.  ``--file -`` reads stdin.  Output is
-deterministic: identical invocations produce byte-identical output.
+stderr, one per failed member for ``table``), 2 on usage errors.
+``--file -`` reads stdin.  Output is deterministic: identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -140,37 +141,30 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 _TABLE_HEADER = ("n", "m", "genus", "slope_bound", "span", "theta_star", "residual")
 
 
-def _table_rows(n_max: int, m_max: int) -> tuple[list[tuple[str, ...]], bool]:
-    from .family import FamilyParams, _closed_form_coefficients, genus, slope_bound
-    from .rootcert import _dense_residual, certify_family_root
+def _table_rows(n_max: int, m_max: int) -> tuple[list[tuple[str, ...]], list[str]]:
+    """The table's rows, and one error line per member that failed to certify."""
+    from .family import FamilyParams, genus, slope_bound
+    from .rootcert import certify_family_root, residual_at_certified_root
 
     rows = []
-    failed = False
+    errors = []
     for n in range(1, n_max + 1):
         for m in range(1, m_max + 1):
             params = FamilyParams(n, m)
-            # one dense list per member gives both the span and the residual
-            try:
-                dense = _closed_form_coefficients(n, m)
-                span = str(len(dense) - 1)
-            except KnotAlexError as exc:
-                dense, span = None, f"!{type(exc).__name__}"
-                failed = True
             try:
                 certificate = certify_family_root(params)
-                if dense is None:  # re-raises the closed form's error
-                    dense = _closed_form_coefficients(n, m)
-                residual = _dense_residual(dense, certificate)
+                residual = residual_at_certified_root(params, certificate)
                 star = f"{certificate.theta_star:.12g}"
                 res = f"{residual:.3e}"
             except KnotAlexError as exc:
                 star = res = f"!{type(exc).__name__}"
-                failed = True
+                errors.append(f"error: (n, m) = ({n}, {m}): {type(exc).__name__}: {exc}")
+            g = genus(params)
+            # the closed form's span is always 2 * genus
             rows.append(
-                (str(n), str(m), str(genus(params)), str(slope_bound(params)),
-                 span, star, res)
+                (str(n), str(m), str(g), str(slope_bound(params)), str(2 * g), star, res)
             )
-    return rows, failed
+    return rows, errors
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -179,7 +173,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
             f"table bounds must be at least 1, got --n-max {args.n_max} "
             f"--m-max {args.m_max}"
         )
-    rows, failed = _table_rows(args.n_max, args.m_max)
+    rows, errors = _table_rows(args.n_max, args.m_max)
+    for line in errors:
+        print(line, file=sys.stderr)
     table = [_TABLE_HEADER, *rows]
     if args.tsv:
         for row in table:
@@ -188,7 +184,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         widths = [max(len(row[i]) for row in table) for i in range(len(_TABLE_HEADER))]
         for row in table:
             print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-    return 1 if failed else 0
+    return 1 if errors else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,15 +21,13 @@ the exact reference it is tested against.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
 
 from ._record import record
 from .errors import H1RankNotOne
 from .laurent import LaurentPoly
 from .words import Presentation, Word
-
-TermsLike = Union[Mapping[Word, int], Iterable[tuple[Word, int]]]
 
 
 class GroupRingElement:
@@ -37,7 +35,7 @@ class GroupRingElement:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: TermsLike = ()):
+    def __init__(self, terms: Mapping[Word, int] | Iterable[tuple[Word, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         data: dict[Word, int] = {}
         for word, coeff in items:

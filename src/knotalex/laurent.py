@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable, Mapping
 from operator import mul
-from typing import Iterable, Mapping, Union
 
 from .errors import (
     DivisionByZero,
@@ -25,15 +25,13 @@ from .errors import (
     OddSpan,
 )
 
-CoeffsLike = Union[Mapping[int, int], Iterable[tuple[int, int]]]
-
 
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: CoeffsLike = ()):
+    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data: dict[int, int] = {}
         for exp, coeff in items:

@@ -234,22 +234,12 @@ def residual_at_certified_root(
     """|Delta(e^(i*theta_star))| for the closed-form polynomial; must be < bound.
 
     The residual is still computed on the fully expanded polynomial, not from
-    g: it sums the same dense coefficients that ``closed_form_alexander``
-    wraps, term by term in ascending exponent order, with the summation
-    ``eval_unit_circle`` uses.  It checks the certificate against Delta
-    itself, independently of the circle function.
+    g: it sums the dense coefficients that ``closed_form_alexander`` wraps,
+    term by term in ascending exponent order, with the summation
+    ``eval_unit_circle`` uses, and builds no polynomial.  It checks the
+    certificate against Delta itself, independently of the circle function.
     """
-    return _dense_residual(
-        _closed_form_coefficients(params.n, params.m), certificate, bound
-    )
-
-
-def _dense_residual(
-    dense: list[int],
-    certificate: RootCertificate,
-    bound: float = DEFAULT_RESIDUAL_BOUND,
-) -> float:
-    """The residual of ``residual_at_certified_root`` on a member's dense coefficients."""
+    dense = _closed_form_coefficients(params.n, params.m)
     residual = abs(
         _unit_circle_sum(
             compress(count(), dense), filter(None, dense), certificate.theta_star
@@ -326,6 +316,10 @@ def find_simple_roots(
     sign change shows); the ``simple`` flag additionally requires the
     analytic derivative at the bisected point to exceed 1e-6 * max|c| * span.
     """
+    if not isinstance(grid_factor, int):
+        raise TypeError(
+            f"grid_factor must be an integer, got {type(grid_factor).__name__}"
+        )
     if grid_factor < 1:
         raise ValueError("grid_factor must be at least 1")
     coeffs = centered_cosine_form(p)

@@ -27,7 +27,7 @@ optional; ``#`` starts a comment that runs to the end of the line.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ._record import record
 from .errors import PresentationError, WordParseError
@@ -159,67 +159,46 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _WordParser:
-    """Left-to-right parse of WORD := FACTOR*, FACTOR := ATOM ('^' INT)?.
-
-    ATOM is a generator name or a parenthesized WORD.  Open groups live on an
-    explicit stack of syllable lists, so nesting depth costs no recursion.  A
-    group without an exponent is spliced into its parent unreduced; the whole
-    word is reduced once at the end, which free reduction allows.
-    """
-
-    def __init__(self, tokens: list[tuple[str, str]], generators: frozenset[str]):
-        self._tokens = tokens
-        self._pos = 0
-        self._generators = generators
-
-    def _peek(self) -> tuple[str | None, str | None]:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return (None, None)
-
-    def _next(self) -> tuple[str | None, str | None]:
-        token = self._peek()
-        self._pos += 1
-        return token
-
-    def parse(self) -> Word:
-        stack: list[list[tuple[str, int]]] = [[]]
-        while True:
-            kind, value = self._next()
-            if kind == "name":
-                if value not in self._generators:
-                    raise WordParseError(f"unknown generator {value!r}")
-                self._append(stack[-1], [(value, 1)])
-            elif kind == "punct" and value == "(":
-                stack.append([])
-            elif kind == "punct" and value == ")":
-                if len(stack) == 1:
-                    raise WordParseError(f"unbalanced parentheses near {value!r}")
-                group = stack.pop()
-                self._append(stack[-1], group)
-            elif kind is None:
-                if len(stack) > 1:
-                    raise WordParseError("unbalanced parentheses: missing ')'")
-                return Word(stack[0])
-            else:
-                raise WordParseError(f"unexpected token {value!r}")
-
-    def _append(self, target: list[tuple[str, int]], atom: list[tuple[str, int]]) -> None:
-        """Append an atom's syllables, raised to the exponent that follows it, if any."""
-        kind, value = self._peek()
-        if kind == "punct" and value == "^":
-            self._next()
-            kind, value = self._next()
-            if kind != "int":
-                raise WordParseError("expected an integer exponent after '^'")
-            atom = (Word(atom) ** int(value)).syllables
-        target.extend(atom)
-
-
 def parse_word(text: str, generators: Iterable[str]) -> Word:
-    """Parse word text over the given generators; empty input is the identity."""
-    return _WordParser(_tokenize(text), frozenset(generators)).parse()
+    """Parse word text over the given generators; empty input is the identity.
+
+    The grammar is WORD := FACTOR*, FACTOR := ATOM ('^' INT)?, where ATOM is a
+    generator name or a parenthesized WORD.  The whole text is tokenized
+    first, so a bad character is reported before any grammar error.  One
+    left-to-right loop keeps open groups on an explicit stack of syllable
+    lists, so nesting depth costs no recursion.  A group without an exponent
+    is spliced into its parent unreduced; the whole word is reduced once at
+    the end, which free reduction allows.
+    """
+    tokens = _tokenize(text)
+    known = frozenset(generators)
+    stack: list[list[tuple[str, int]]] = [[]]
+    pos, end = 0, len(tokens)
+    while pos < end:
+        kind, value = tokens[pos]
+        pos += 1
+        if kind == "name":
+            if value not in known:
+                raise WordParseError(f"unknown generator {value!r}")
+            atom = [(value, 1)]
+        elif value == "(":
+            stack.append([])
+            continue
+        elif value == ")":
+            if len(stack) == 1:
+                raise WordParseError(f"unbalanced parentheses near {value!r}")
+            atom = stack.pop()
+        else:
+            raise WordParseError(f"unexpected token {value!r}")
+        if pos < end and tokens[pos][1] == "^":
+            if pos + 1 == end or tokens[pos + 1][0] != "int":
+                raise WordParseError("expected an integer exponent after '^'")
+            atom = (Word(atom) ** int(tokens[pos + 1][1])).syllables
+            pos += 2
+        stack[-1].extend(atom)
+    if len(stack) > 1:
+        raise WordParseError("unbalanced parentheses: missing ')'")
+    return Word(stack[0])
 
 
 @record

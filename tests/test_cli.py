@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import knotalex
-from knotalex import family
+from knotalex import family, rootcert
 from knotalex.cli import main
+from knotalex.errors import CertificationFailed, NotDivisible
+from knotalex.family import FamilyParams
 
 TREFOIL_TEXT = "gens: x y\nrel: x y x (y x y)^-1\n"
 
@@ -345,6 +347,45 @@ class TestTable:
         assert code == 0
         assert sorted(calls) == [(n, m) for n in range(1, 11) for m in range(1, 11)]
 
+    def _failed_member(self, capsys, monkeypatch, target, exc, member):
+        """Run a 3 x 2 table with ``target`` raising ``exc`` for one member."""
+        _, expected, _ = run(capsys, ["table", "--n-max", "3", "--m-max", "2", "--tsv"])
+        original = getattr(rootcert, target)
+
+        def failing(*args):
+            params = args[0] if target == "certify_family_root" else FamilyParams(*args)
+            if (params.n, params.m) == member:
+                raise exc
+            return original(*args)
+
+        monkeypatch.setattr(rootcert, target, failing)
+        code, out, err = run(capsys, ["table", "--n-max", "3", "--m-max", "2", "--tsv"])
+        assert code == 1
+        name = type(exc).__name__
+        assert err == f"error: (n, m) = {member}: {name}: {exc}\n"
+        rows, expected_rows = out.splitlines(), expected.splitlines()
+        assert len(rows) == len(expected_rows) == 7
+        for row, expected_row in zip(rows, expected_rows):
+            if row.split("\t")[:2] == [str(member[0]), str(member[1])]:
+                cells = expected_row.split("\t")[:5] + [f"!{name}"] * 2
+                assert row == "\t".join(cells)
+            else:
+                assert row == expected_row
+
+    def test_failed_certificate(self, capsys, monkeypatch):
+        # the cells keep the type name; the message goes to stderr
+        self._failed_member(
+            capsys, monkeypatch, "certify_family_root",
+            CertificationFailed("monotonicity does not bridge"), (2, 1),
+        )
+
+    def test_failed_closed_form(self, capsys, monkeypatch):
+        # the span cell is 2 * genus, so only the residual's cells fail
+        self._failed_member(
+            capsys, monkeypatch, "_closed_form_coefficients",
+            NotDivisible("closed form does not divide"), (3, 2),
+        )
+
 
 #: One call per subcommand and output flag: argv and stdin.
 SUBCOMMAND_CALLS = [
@@ -400,6 +441,25 @@ def test_each_subcommand_imports_only_what_it_runs(argv, stdin):
     if argv[0] in ("family", "certify", "classify", "table"):
         assert not {"knotalex.foxcalc", "knotalex.alexander", "fractions"} & set(loaded)
     assert ("json" in loaded) == ("--json" in argv)
+
+
+_LOADS_TYPING = """\
+import contextlib, io, sys
+from knotalex import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "typing" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin", SUBCOMMAND_CALLS, ids=[" ".join(argv) for argv, _ in SUBCOMMAND_CALLS]
+)
+def test_no_subcommand_imports_typing(argv, stdin):
+    # -S skips the site hook, which preloads typing and would hide an import
+    done = _fresh(["-S", "-c", _LOADS_TYPING, *argv], stdin)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_python_dash_m_runs_the_cli(capsys, monkeypatch):

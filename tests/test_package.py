@@ -33,7 +33,6 @@ class TestLazySurface:
 
     def test_alexander_reexports_the_closed_form(self):
         assert alexander.closed_form_alexander is family.closed_form_alexander
-        assert alexander._closed_form_coefficients is family._closed_form_coefficients
 
     def test_dir_lists_all(self):
         assert set(knotalex.__all__) <= set(dir(knotalex))

@@ -282,6 +282,13 @@ class TestFindSimpleRoots:
         with pytest.raises(ValueError):
             find_simple_roots(LaurentPoly.one(), grid_factor=0)
 
+    @pytest.mark.parametrize("grid_factor", [1.5, "2"], ids=["float", "str"])
+    def test_grid_factor_must_be_an_integer(self, grid_factor):
+        # rejected up front, not deep inside range() or a str/int comparison
+        message = f"^grid_factor must be an integer, got {type(grid_factor).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            find_simple_roots(torus_knot_alexander(2, 3), grid_factor=grid_factor)
+
 
 def test_package_import_leaves_numpy_out():
     # with numpy blocked, the CLI and the generic scanner must still run

@@ -79,6 +79,31 @@ class TestParse:
         with pytest.raises(WordParseError):
             parse_word("a * w", "aw")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a * w", "unexpected character '*'"),
+            ("a v", "unknown generator 'v'"),
+            ("a)", "unbalanced parentheses near ')'"),
+            ("(a w", "unbalanced parentheses: missing ')'"),
+            ("a 5", "unexpected token '5'"),
+            ("^2 a", "unexpected token '^'"),
+            ("a^2^3", "unexpected token '^'"),
+            ("a^", "expected an integer exponent after '^'"),
+            ("a^w", "expected an integer exponent after '^'"),
+            # the whole text is tokenized first, so a bad character wins
+            ("a^ $", "unexpected character '$'"),
+        ],
+        ids=[
+            "character", "generator", "close", "open", "integer", "caret",
+            "double-exponent", "missing-exponent", "name-exponent", "precedence",
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(WordParseError) as info:
+            parse_word(text, "aw")
+        assert str(info.value) == message
+
 
 class TestGroupOps:
     def test_multiply_cancels(self):
