@@ -14,13 +14,15 @@ quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by
 
     1 / ((t + 1)(t^2 + t + 1)) = (1 - 2t + 2t^2 - t^3) / (1 - t^6),
 
-the quotient is the six-term numerator times that cubic (at most 24 terms),
-divided by 1 - t^6: on one dense coefficient list, six running sums, one per
-residue class of exponents mod 6.  The division is exact exactly when every
-entry above the span 2n + 6m - 2 is zero.  The resulting list is already the
-normalized representative (constant term 1, coefficients summing to 1), so
-the certificate residual in ``rootcert`` sums it directly, without building
-the polynomial.
+the quotient is the six-term numerator times that cubic (at most 24 step
+terms), divided by 1 - t^6.  The division keeps one running level per residue
+class of exponents mod 6, so between two consecutive step exponents the
+coefficients repeat with period 6: they are streamed as those runs, never
+stored as one dense list.  The division is exact exactly when every level is
+back to zero after the last step.  The stream is already the normalized
+representative (constant term 1, coefficients summing to 1), so the
+certificate residual in ``rootcert`` sums it directly, without building the
+polynomial.
 
 ``classify_surgery`` applies the non-left-orderability threshold for this
 family: rational surgery with slope p/q >= 2n + 6m - 3 (which equals
@@ -38,10 +40,15 @@ from __future__ import annotations
 
 import enum
 import math
-from itertools import accumulate, compress, count
+from itertools import chain, compress, count, cycle, islice
 
 from ._record import record
 from .errors import NotDivisible
+
+
+def _is_integer(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @record
@@ -52,43 +59,56 @@ class FamilyParams:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and isinstance(self.m, int)):
+        if not (_is_integer(self.n) and _is_integer(self.m)):
             raise TypeError("n and m must be integers")
         if self.n < 1 or self.m < 1:
             raise ValueError("the family requires n >= 1 and m >= 1")
 
 
-def _closed_form_coefficients(n: int, m: int) -> list[int]:
-    """Dense coefficients of the (n, m) closed form, degrees 0..2n + 6m - 2.
+def _closed_form_coefficients(n: int, m: int) -> Iterator[int]:
+    """Stream of the (n, m) closed form's coefficients, degrees 0..2n + 6m - 2.
 
-    The list is already the normalized representative: its constant term is
-    1 and its entries sum to 1.
+    The stream is already the normalized representative: its constant term
+    is 1 and its entries sum to 1.  The input check and the divisibility
+    check run at call time, before anything is yielded.
     """
-    if not (isinstance(n, int) and isinstance(m, int)) or n < 1 or m < 1:
+    if not (_is_integer(n) and _is_integer(m)) or n < 1 or m < 1:
         raise ValueError("closed form requires integers n >= 1 and m >= 1")
     top = 2 * n + 6 * m + 1
-    span = top - 3
-    dense = [0] * (top + 4)
-    # The numerator times 1 - 2t + 2t^2 - t^3.  Exponent collisions, were
-    # they ever to occur, must accumulate.
+    end = top - 2  # one past the span 2n + 6m - 2
+    # The numerator times 1 - 2t + 2t^2 - t^3, as steps sorted by exponent.
+    # Exponent collisions, were they ever to occur, must accumulate: equal
+    # exponents are consecutive steps with nothing streamed between them.
+    steps = []
     for exp in (0, 1, 3 * m + 2, 2 * n + 3 * m - 1, 2 * n + 6 * m, top):
-        dense[exp] += 1
-        dense[exp + 1] -= 2
-        dense[exp + 2] += 2
-        dense[exp + 3] -= 1
-    for residue in range(6):  # divide by 1 - t^6
-        dense[residue::6] = accumulate(dense[residue::6])
-    if any(dense[span + 1 :]):
+        steps += (exp, 1), (exp + 1, -2), (exp + 2, 2), (exp + 3, -1)
+    steps.sort()
+    # Divide by 1 - t^6: up to each step, degree d has the running level of
+    # its residue d mod 6, so the coefficients since the last step are those
+    # six levels, cycled from the phase where that step sits.  Most runs are
+    # one coefficient long, between the four steps of a numerator term.
+    levels, runs, done = [0] * 6, [], 0
+    for exp, coeff in steps:
+        stop = min(exp, end)
+        if done < stop:
+            phase = done % 6
+            if stop - done == 1:
+                runs.append((levels[phase],))
+            else:
+                period = levels[phase:] + levels[:phase]
+                runs.append(islice(cycle(period), stop - done))
+            done = stop
+        levels[exp % 6] += coeff
+    if any(levels):
         raise NotDivisible("remainder is nonzero")
-    del dense[span + 1 :]
-    return dense
+    return chain.from_iterable(runs)
 
 
 def closed_form_alexander(n: int, m: int) -> LaurentPoly:
     """Closed-form Alexander polynomial of the (n, m) twisted torus knot."""
     from .laurent import LaurentPoly, normalize_knot_poly
 
-    dense = _closed_form_coefficients(n, m)
+    dense = list(_closed_form_coefficients(n, m))
     coeffs = dict(zip(compress(count(), dense), filter(None, dense)))
     return normalize_knot_poly(LaurentPoly._trusted(coeffs))
 

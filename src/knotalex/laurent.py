@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Mapping
+from itertools import repeat
 from operator import mul
 
 from .errors import (
@@ -257,16 +258,25 @@ def is_palindromic(p: LaurentPoly) -> bool:
 
 
 def _unit_circle_sum(exps: Iterable[int], coeffs: Iterable[int], theta: float) -> complex:
-    """Sum of coeff * e^(i*theta*exp) over paired terms, left to right."""
-    powers = map(cmath.exp, map((1j * theta).__mul__, exps))
-    return sum(map(mul, coeffs, powers)) + 0j
+    """Sum of coeff * e^(i*theta*exp) over paired terms, left to right.
+
+    Each term is ``cmath.rect(coeff, theta*exp)``, which forms the same two
+    products coeff*cos and coeff*sin of the same angle as
+    coeff * cmath.exp(1j*theta*exp) and differs from it only in the signs of
+    zero parts.  Those cannot reach the sum: started at 0j, it never holds
+    -0.0.  So the value is bit for bit that of the product form.  ``exps``
+    may be longer than ``coeffs``.
+    """
+    return sum(map(cmath.rect, coeffs, map(mul, repeat(theta), exps)), 0j)
 
 
 def eval_unit_circle(p: LaurentPoly, theta: float) -> complex:
     """Value of p at e^(i*theta).
 
     The terms coeff * e^(i*theta*exp) are added left to right in ascending
-    exponent order; the last digits of the result depend on that order.
+    exponent order; the last digits of the result depend on that order.  The
+    certificate residual in ``rootcert`` sums the closed form's coefficient
+    stream by the same route, so its digits are this function's.
     """
     exps = sorted(p._coeffs)
     return _unit_circle_sum(exps, map(p._coeffs.__getitem__, exps), theta)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from itertools import compress, count
+from itertools import count
 
 from ._record import record
 from .errors import CertificationFailed, ResidualTooLarge
@@ -234,17 +234,15 @@ def residual_at_certified_root(
     """|Delta(e^(i*theta_star))| for the closed-form polynomial; must be < bound.
 
     The residual is still computed on the fully expanded polynomial, not from
-    g: it sums the dense coefficients that ``closed_form_alexander`` wraps,
+    g: it sums the coefficient stream that ``closed_form_alexander`` collects,
     term by term in ascending exponent order, with the summation
-    ``eval_unit_circle`` uses, and builds no polynomial.  It checks the
-    certificate against Delta itself, independently of the circle function.
+    ``eval_unit_circle`` uses, and builds no polynomial and no coefficient
+    list.  Zero coefficients are summed too; each adds a zero, which changes
+    neither a nonzero sum nor its modulus.  It checks the certificate against
+    Delta itself, independently of the circle function.
     """
-    dense = _closed_form_coefficients(params.n, params.m)
-    residual = abs(
-        _unit_circle_sum(
-            compress(count(), dense), filter(None, dense), certificate.theta_star
-        )
-    )
+    coeffs = _closed_form_coefficients(params.n, params.m)
+    residual = abs(_unit_circle_sum(count(), coeffs, certificate.theta_star))
     if not residual < bound:
         raise ResidualTooLarge(
             f"residual {residual} at theta_star {certificate.theta_star} "

@@ -1,9 +1,11 @@
 """Shared hypothesis strategies and oracles for the test suite."""
 
 import cmath
+from itertools import accumulate
 
 from hypothesis import strategies as st
 
+from knotalex.errors import NotDivisible
 from knotalex.laurent import LaurentPoly
 from knotalex.words import Word
 
@@ -32,3 +34,27 @@ def _eval_oracle(p: LaurentPoly, theta: float) -> complex:
     return sum(
         coeff * cmath.exp(1j * (exp * theta)) for exp, coeff in p.items()
     ) + 0j
+
+
+def _dense_closed_form_oracle(n: int, m: int) -> list[int]:
+    """Reference dense coefficients of the (n, m) closed form.
+
+    The numerator times 1 - 2t + 2t^2 - t^3 on one dense list, divided by
+    1 - t^6 with six strided running sums, one per residue mod 6; the list is
+    trimmed to degrees 0..2n + 6m - 2 after checking that nothing remains
+    above them.
+    """
+    top = 2 * n + 6 * m + 1
+    span = top - 3
+    dense = [0] * (top + 4)
+    for exp in (0, 1, 3 * m + 2, 2 * n + 3 * m - 1, 2 * n + 6 * m, top):
+        dense[exp] += 1
+        dense[exp + 1] -= 2
+        dense[exp + 2] += 2
+        dense[exp + 3] -= 1
+    for residue in range(6):
+        dense[residue::6] = accumulate(dense[residue::6])
+    if any(dense[span + 1 :]):
+        raise NotDivisible("remainder is nonzero")
+    del dense[span + 1 :]
+    return dense

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _strategies import laurent_polys
+from _strategies import _dense_closed_form_oracle, laurent_polys
 from knotalex import alexander, family, foxcalc, laurent
 from knotalex.alexander import (
     alexander_matrix,
@@ -288,7 +288,7 @@ class TestClosedForm:
         # so the residual may sum them without building the polynomial
         members = [(n, m) for n in range(1, 41) for m in range(1, 41)]
         for n, m in [*members, (150000, 1), (100000, 10000)]:
-            dense = family._closed_form_coefficients(n, m)
+            dense = list(family._closed_form_coefficients(n, m))
             assert len(dense) == 2 * n + 6 * m - 1
             assert closed_form_alexander(n, m) == LaurentPoly(dict(enumerate(dense)))
 
@@ -297,9 +297,40 @@ class TestClosedForm:
             assert closed_form_alexander(2, m) == torus_knot_alexander(3, 3 * m + 2)
 
     def test_invalid_params(self):
-        for n, m in [(0, 1), (1, 0), (-1, 2)]:
+        for n, m in [(0, 1), (1, 0), (-1, 2), (True, 1), (1, False)]:
             with pytest.raises(ValueError):
                 closed_form_alexander(n, m)
+
+
+class TestClosedFormStream:
+    """The coefficient stream against the dense six-running-sums oracle."""
+
+    def test_matches_dense_oracle_on_grid(self):
+        for n in range(1, 61):
+            for m in range(1, 61):
+                stream = family._closed_form_coefficients(n, m)
+                assert list(stream) == _dense_closed_form_oracle(n, m), (n, m)
+
+    @settings(deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=5000),
+        m=st.integers(min_value=1, max_value=5000),
+    )
+    @example(n=2, m=100000)
+    def test_matches_dense_oracle(self, n, m):
+        stream = family._closed_form_coefficients(n, m)
+        assert list(stream) == _dense_closed_form_oracle(n, m)
+
+    def test_is_an_iterator(self):
+        stream = family._closed_form_coefficients(3, 2)
+        assert iter(stream) is stream
+        assert next(stream) == 1
+
+    def test_invalid_params_raise_at_call_time(self):
+        # no iteration: the checks run before anything is yielded
+        for n, m in [(0, 1), (1, 0), (1.5, 1), (True, 1), (2, True)]:
+            with pytest.raises(ValueError, match="closed form requires integers"):
+                family._closed_form_coefficients(n, m)
 
 
 class TestTorusKnots:

@@ -218,6 +218,9 @@ class TestCertify:
             pytest.param(
                 150000, 1, "3.351e-13", "3.351254675953929e-13", id="150000-1-3.351e-13"
             ),
+            pytest.param(
+                2, 100000, "2.683e-13", "2.6832234710352506e-13", id="2-100000-2.683e-13"
+            ),
         ],
     )
     def test_residual_digits(self, capsys, n, m, residual, digits):

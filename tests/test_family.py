@@ -35,6 +35,11 @@ class TestParams:
         with pytest.raises(TypeError):
             FamilyParams(1.5, 1)
 
+    def test_rejects_bools(self):
+        for n, m in [(True, 2), (2, True), (False, 1)]:
+            with pytest.raises(TypeError, match="^n and m must be integers$"):
+                FamilyParams(n, m)
+
 
 class TestPresentation:
     def test_matches_hand_built_relator(self):

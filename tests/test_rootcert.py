@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -166,14 +167,29 @@ class TestResidual:
             assert residual_at_certified_root(params, cert) < 1e-8
 
     def test_bit_identical_to_expanded_polynomial(self):
-        # summing the dense coefficients must give the value of the expanded
+        # summing the coefficient stream must give the value of the expanded
         # polynomial, term for term and in the same order
         members = [(n, m) for n in range(1, 41) for m in range(1, 41)]
-        for n, m in [*members, (150000, 1), (100000, 10000)]:
+        # (2, 100000): 200 000 of its 600 003 coefficients are zero
+        for n, m in [*members, (150000, 1), (100000, 10000), (2, 100000)]:
             params = FamilyParams(n, m)
             cert = certify_family_root(params)
             expected = abs(_eval_oracle(closed_form_alexander(n, m), cert.theta_star))
             assert repr(residual_at_certified_root(params, cert)) == repr(expected), (n, m)
+
+    def test_streams_the_coefficients(self):
+        # the residual holds no coefficient list: a dense one would take
+        # several megabytes at these members
+        for n, m in [(150000, 1), (2, 100000)]:
+            params = FamilyParams(n, m)
+            cert = certify_family_root(params)
+            tracemalloc.start()
+            try:
+                residual_at_certified_root(params, cert)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 1024, (n, m, peak)
 
     def test_unattainable_bound_raises(self):
         params = FamilyParams(2, 1)
