@@ -1,9 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 Everything raised on bad mathematical input derives from KnotAlexError so
 callers (and the command-line front end) can catch domain errors with one
 except clause while genuine bugs still surface as ordinary exceptions.
+Inputs of the wrong type raise a plain TypeError after ``_is_integer``, which
+every module that takes integers shares; it lives here because every
+command-line call already imports this module.
 """
+
+
+def _is_integer(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class KnotAlexError(Exception):

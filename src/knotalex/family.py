@@ -43,12 +43,7 @@ import math
 from itertools import chain, compress, count, cycle, islice
 
 from ._record import record
-from .errors import NotDivisible
-
-
-def _is_integer(value) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+from .errors import NotDivisible, _is_integer
 
 
 @record
@@ -173,7 +168,7 @@ class SurgerySlope:
     q: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.p, int) and isinstance(self.q, int)):
+        if not (_is_integer(self.p) and _is_integer(self.q)):
             raise TypeError("p and q must be integers")
         if self.q == 0:
             raise ValueError("slope requires q != 0")

@@ -1,8 +1,14 @@
 """Free differential (Fox) calculus over the integral group ring of a free group.
 
-A group-ring element is a finite integer combination of Words.  The free
-derivative d/dg is determined by d(g)/dg = 1, d(h)/dg = 0 for h != g, and the
-product rule d(uv)/dg = du/dg + u * dv/dg; it follows that
+A group-ring element is a finite integer combination of Words: the
+integer-combination core of ``laurent`` with Words as keys.  Only the key
+check, the unit (the empty word), the product (concatenation, so ``*`` does
+not commute) and the printing are defined here.  ``fox_derivative``,
+``geometric_series`` and ``abelianize`` hand (key, coefficient) pairs to the
+checked constructors, which add up repeated keys.
+
+The free derivative d/dg is determined by d(g)/dg = 1, d(h)/dg = 0 for
+h != g, and the product rule d(uv)/dg = du/dg + u * dv/dg; it follows that
 d(g^-k)/dg = -(g^-1 + ... + g^-k).  The fundamental identity
 sum_g (du/dg) * (g - 1) = u - 1 holds for every word u and pins down the
 whole calculus; the test suite exercises it directly.
@@ -21,116 +27,49 @@ the exact reference it is tested against.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from ._record import record
-from .errors import H1RankNotOne
-from .laurent import LaurentPoly
+from .errors import H1RankNotOne, _is_integer
+from .laurent import LaurentPoly, _IntCombination
 from .words import Presentation, Word
 
 
-class GroupRingElement:
+class GroupRingElement(_IntCombination):
     """Immutable finite integer combination of free-group words."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _UNIT = Word.identity()
+    _TYPE_ERROR = "terms must map Word to int"
 
-    def __init__(self, terms: Mapping[Word, int] | Iterable[tuple[Word, int]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Word, int] = {}
-        for word, coeff in items:
-            if not isinstance(word, Word) or not isinstance(coeff, int):
-                raise TypeError("terms must map Word to int")
-            if coeff:
-                total = data.get(word, 0) + coeff
-                if total:
-                    data[word] = total
-                else:
-                    del data[word]
-        self._terms = data
-
-    @classmethod
-    def zero(cls) -> GroupRingElement:
-        return cls()
-
-    @classmethod
-    def one(cls) -> GroupRingElement:
-        return cls({Word.identity(): 1})
+    @staticmethod
+    def _is_key(key) -> bool:
+        return isinstance(key, Word)
 
     @classmethod
     def from_word(cls, word: Word, coeff: int = 1) -> GroupRingElement:
         return cls({word: coeff})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def terms(self) -> list[tuple[Word, int]]:
         """Terms sorted by word text, for deterministic iteration."""
-        return sorted(self._terms.items(), key=lambda item: item[0].render())
-
-    def coefficient(self, word: Word) -> int:
-        return self._terms.get(word, 0)
+        return sorted(self._coeffs.items(), key=lambda item: item[0].render())
 
     def _coerce(self, other) -> GroupRingElement | None:
-        if isinstance(other, GroupRingElement):
-            return other
-        if isinstance(other, int):
-            return GroupRingElement({Word.identity(): other})
         if isinstance(other, Word):
             return GroupRingElement({other: 1})
-        return None
-
-    def __add__(self, other) -> GroupRingElement:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        data = dict(self._terms)
-        for word, coeff in other._terms.items():
-            total = data.get(word, 0) + coeff
-            if total:
-                data[word] = total
-            else:
-                data.pop(word, None)
-        out = GroupRingElement.zero()
-        out._terms = data
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> GroupRingElement:
-        out = GroupRingElement.zero()
-        out._terms = {word: -coeff for word, coeff in self._terms.items()}
-        return out
-
-    def __sub__(self, other) -> GroupRingElement:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> GroupRingElement:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return super()._coerce(other)
 
     def __mul__(self, other) -> GroupRingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data: dict[Word, int] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                word = w1 * w2
-                total = data.get(word, 0) + c1 * c2
-                if total:
-                    data[word] = total
-                else:
-                    del data[word]
-        out = GroupRingElement.zero()
-        out._terms = data
-        return out
+        return GroupRingElement(
+            (w1 * w2, c1 * c2)
+            for w1, c1 in self._coeffs.items()
+            for w2, c2 in other._coeffs.items()
+        )
 
     def __rmul__(self, other) -> GroupRingElement:
         other = self._coerce(other)
@@ -138,17 +77,8 @@ class GroupRingElement:
             return NotImplemented
         return other * self
 
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._coeffs:
             return "GroupRingElement(0)"
         body = " + ".join(
             f"{coeff}*[{word.render() or '1'}]" for word, coeff in self.terms()
@@ -160,12 +90,8 @@ def geometric_series(base: Word, count: int) -> GroupRingElement:
     """Truncated geometric series 1 + base + ... + base^count in the group ring."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    terms: dict[Word, int] = {}
-    power = Word.identity()
-    for _ in range(count + 1):
-        terms[power] = terms.get(power, 0) + 1
-        power = power * base
-    return GroupRingElement(terms)
+    powers = accumulate(repeat(base, count), mul, initial=Word.identity())
+    return GroupRingElement(zip(powers, repeat(1)))
 
 
 def fox_derivative(word: Word, gen: str) -> GroupRingElement:
@@ -173,32 +99,17 @@ def fox_derivative(word: Word, gen: str) -> GroupRingElement:
 
     Walks the syllables once, keeping the running prefix; a syllable g^k
     contributes prefix * (1 + g + ... + g^(k-1)) for k > 0 and
-    prefix * -(g^-1 + ... + g^k) for k < 0.
+    prefix * -(g^k + ... + g^-1) for k < 0, the |k| words from
+    prefix * g^min(k, 0) on in steps of g.
     """
-    terms: dict[Word, int] = {}
-
-    def add(w: Word, c: int) -> None:
-        total = terms.get(w, 0) + c
-        if total:
-            terms[w] = total
-        else:
-            del terms[w]
-
+    terms = []
     prefix = Word.identity()
     for name, exp in word.syllables:
         if name == gen:
-            if exp > 0:
-                power = prefix
-                step = Word.generator(name)
-                for _ in range(exp):
-                    add(power, 1)
-                    power = power * step
-            else:
-                power = prefix
-                step = Word.generator(name, -1)
-                for _ in range(-exp):
-                    power = power * step
-                    add(power, -1)
+            sign = 1 if exp > 0 else -1
+            start = prefix * Word.generator(name, min(exp, 0))
+            steps = repeat(Word.generator(name), abs(exp) - 1)
+            terms += zip(accumulate(steps, mul, initial=start), repeat(sign))
         prefix = prefix * Word.generator(name, exp)
     return GroupRingElement(terms)
 
@@ -215,9 +126,10 @@ class Weights:
     entries: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "entries", tuple((str(g), int(w)) for g, w in self.entries)
-        )
+        entries = tuple(self.entries)
+        if not all(_is_integer(w) for _, w in entries):
+            raise TypeError("weights must be integers")
+        object.__setattr__(self, "entries", tuple((str(g), int(w)) for g, w in entries))
         names = [g for g, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator in weights")
@@ -303,11 +215,9 @@ def compute_weights(presentation: Presentation) -> Weights:
 
 def abelianize(element: GroupRingElement, weights: Weights) -> LaurentPoly:
     """Image of a group-ring element under g -> t**weight(g)."""
-    coeffs: dict[int, int] = {}
-    for word, coeff in element.terms():
-        degree = weights.degree(word)
-        coeffs[degree] = coeffs.get(degree, 0) + coeff
-    return LaurentPoly(coeffs)
+    return LaurentPoly(
+        (weights.degree(word), coeff) for word, coeff in element._coeffs.items()
+    )
 
 
 def _abelianized_row(

@@ -3,8 +3,15 @@
 A polynomial is a map from integer exponents to nonzero integer coefficients;
 Python integers make every operation exact at arbitrary precision.  The zero
 polynomial is the empty map.  Constructors accept mappings or (exponent,
-coefficient) pairs, check their types and accumulate duplicate exponents
-additively; results of the module's own arithmetic skip those checks.
+coefficient) pairs, check their types (bools are not integers here) and
+accumulate duplicate exponents additively; results of the module's own
+arithmetic skip those checks.
+
+That invariant and the arithmetic that ignores what a key is (the checked
+constructor, sums, negation, equality with ints coerced) belong to the
+private base ``_IntCombination``.  ``LaurentPoly`` adds exponents as keys and
+their sum as the key product; ``foxcalc.GroupRingElement`` is the same core
+with free-group words as keys and concatenation as the product.
 
 Knot polynomials are defined only up to a unit +-t^k; ``normalize_knot_poly``
 picks the representative with minimum degree zero and value +1 at t = 1.
@@ -24,31 +31,41 @@ from .errors import (
     NotDivisible,
     NotPalindromic,
     OddSpan,
+    _is_integer,
 )
 
 
-class LaurentPoly:
-    """Immutable Laurent polynomial with integer coefficients."""
+class _IntCombination:
+    """Immutable finite integer combination of keys.
+
+    The combination is a dict from keys to nonzero int coefficients; zero is
+    the empty dict.  Everything that does not depend on what a key is lives
+    here.  A subclass sets ``_is_key``, the key ``_UNIT`` of its one, and
+    ``_TYPE_ERROR``, the text of the constructor's TypeError, and defines the
+    product of two keys in ``__mul__``.  Like the dicts they wrap, instances
+    are unhashable (``__eq__`` without ``__hash__``).
+    """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __init__(self, coeffs: Mapping | Iterable[tuple] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        data: dict[int, int] = {}
-        for exp, coeff in items:
-            if not isinstance(exp, int) or not isinstance(coeff, int):
-                raise TypeError("exponents and coefficients must be integers")
+        is_key = self._is_key
+        data = {}
+        for key, coeff in items:
+            if not (is_key(key) and _is_integer(coeff)):
+                raise TypeError(self._TYPE_ERROR)
             if coeff:
-                total = data.get(exp, 0) + coeff
+                total = data.get(key, 0) + coeff
                 if total:
-                    data[exp] = total
+                    data[key] = total
                 else:
-                    del data[exp]
+                    del data[key]
         self._coeffs = data
 
     @classmethod
-    def _trusted(cls, coeffs: dict[int, int]) -> LaurentPoly:
-        """Wrap a dict of int exponents to nonzero int coefficients, unchecked.
+    def _trusted(cls, coeffs: dict):
+        """Wrap a dict of keys to nonzero int coefficients, unchecked.
 
         The result takes ownership of ``coeffs``; callers hand over a fresh
         dict that already satisfies the invariant.
@@ -58,20 +75,78 @@ class LaurentPoly:
         return out
 
     @classmethod
-    def zero(cls) -> LaurentPoly:
+    def zero(cls):
         return cls()
 
     @classmethod
-    def one(cls) -> LaurentPoly:
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exp: int, coeff: int = 1) -> LaurentPoly:
-        return cls({exp: coeff})
+    def one(cls):
+        return cls({cls._UNIT: 1})
 
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
+
+    def coefficient(self, key) -> int:
+        return self._coeffs.get(key, 0)
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if _is_integer(other):
+            return type(self)({self._UNIT: other})
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        data = dict(self._coeffs)
+        for key, coeff in other._coeffs.items():
+            total = data.get(key, 0) + coeff
+            if total:
+                data[key] = total
+            else:
+                data.pop(key, None)
+        return self._trusted(data)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._trusted({key: -coeff for key, coeff in self._coeffs.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._coeffs == other._coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
+
+
+class LaurentPoly(_IntCombination):
+    """Immutable Laurent polynomial with integer coefficients."""
+
+    __slots__ = ()
+    _is_key = staticmethod(_is_integer)
+    _UNIT = 0
+    _TYPE_ERROR = "exponents and coefficients must be integers"
+
+    @classmethod
+    def monomial(cls, exp: int, coeff: int = 1) -> LaurentPoly:
+        return cls({exp: coeff})
 
     @property
     def min_degree(self) -> int:
@@ -88,9 +163,6 @@ class LaurentPoly:
     @property
     def span(self) -> int:
         return self.max_degree - self.min_degree
-
-    def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
 
     def items(self) -> list[tuple[int, int]]:
         """Coefficients in ascending exponent order."""
@@ -111,45 +183,6 @@ class LaurentPoly:
             total += coeff * Fraction(x) ** exp
         return int(total) if total.denominator == 1 else total
 
-    def _coerce(self, other) -> LaurentPoly | None:
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly({0: other})
-        return None
-
-    def __add__(self, other) -> LaurentPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        data = dict(self._coeffs)
-        for exp, coeff in other._coeffs.items():
-            total = data.get(exp, 0) + coeff
-            if total:
-                data[exp] = total
-            else:
-                data.pop(exp, None)
-        return LaurentPoly._trusted(data)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._trusted(
-            {exp: -coeff for exp, coeff in self._coeffs.items()}
-        )
-
-    def __sub__(self, other) -> LaurentPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> LaurentPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> LaurentPoly:
         other = self._coerce(other)
         if other is None:
@@ -168,7 +201,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> LaurentPoly:
-        if not isinstance(k, int):
+        if not _is_integer(k):
             return NotImplemented
         if k < 0:
             raise ValueError("negative powers are not defined for polynomials")
@@ -180,15 +213,6 @@ class LaurentPoly:
             base = base * base
             k >>= 1
         return result
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
 
     def __str__(self) -> str:
         return format_poly(self)

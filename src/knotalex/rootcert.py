@@ -34,7 +34,7 @@ import sys
 from itertools import count
 
 from ._record import record
-from .errors import CertificationFailed, ResidualTooLarge
+from .errors import CertificationFailed, ResidualTooLarge, _is_integer
 from .family import FamilyParams, _closed_form_coefficients
 from .laurent import (
     LaurentPoly,
@@ -314,7 +314,7 @@ def find_simple_roots(
     sign change shows); the ``simple`` flag additionally requires the
     analytic derivative at the bisected point to exceed 1e-6 * max|c| * span.
     """
-    if not isinstance(grid_factor, int):
+    if not _is_integer(grid_factor):
         raise TypeError(
             f"grid_factor must be an integer, got {type(grid_factor).__name__}"
         )

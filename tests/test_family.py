@@ -142,6 +142,11 @@ class TestSurgerySlope:
         with pytest.raises(TypeError):
             SurgerySlope(1.5, 2)
 
+    def test_rejects_bools(self):
+        for p, q in [(True, 2), (3, True), (False, 1)]:
+            with pytest.raises(TypeError, match="^p and q must be integers$"):
+                SurgerySlope(p, q)
+
 
 class TestClassify:
     def test_golden_examples(self):

@@ -1,5 +1,7 @@
 """Group ring, free derivatives, weights, abelianization."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -164,6 +166,12 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weights((("a", 1), ("a", 2)))  # duplicate name
 
+    @pytest.mark.parametrize("weight", [1.5, "2", True], ids=["float", "str", "bool"])
+    def test_weights_must_be_integers(self, weight):
+        # neither truncated (1.5 -> 1) nor parsed ("2" -> 2)
+        with pytest.raises(TypeError, match="^weights must be integers$"):
+            Weights((("a", weight), ("b", 3)))
+
 
 class TestAbelianize:
     def test_example(self):
@@ -186,3 +194,40 @@ class TestAbelianize:
         ay = abelianize(y, FREE_WEIGHTS)
         assert abelianize(x + y, FREE_WEIGHTS) == ax + ay
         assert abelianize(x * y, FREE_WEIGHTS) == ax * ay
+
+
+class TestSharedCore:
+    """LaurentPoly and GroupRingElement share one integer-combination core."""
+
+    POLY = LaurentPoly.one()
+    ELEMENT = GroupRingElement.one()
+
+    def test_types_never_compare_equal(self):
+        assert LaurentPoly.zero() != GroupRingElement.zero()
+        assert not self.POLY == self.ELEMENT
+        assert not self.ELEMENT == self.POLY
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_mixed_arithmetic_is_refused(self, op):
+        for left, right in [(self.POLY, self.ELEMENT), (self.ELEMENT, self.POLY)]:
+            with pytest.raises(TypeError):
+                op(left, right)
+
+    def test_both_are_unhashable(self):
+        for value in (self.POLY, self.ELEMENT):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+    def test_bool_operands_are_refused(self, op):
+        for value in (self.POLY, self.ELEMENT):
+            for left, right in [(value, True), (False, value)]:
+                with pytest.raises(TypeError):
+                    op(left, right)
+        with pytest.raises(TypeError):
+            self.POLY ** True
+        assert self.POLY != True  # noqa: E712 - a bool is not the constant 1
+
+    def test_constructor_rejects_bool_coefficients(self):
+        with pytest.raises(TypeError, match="^terms must map Word to int$"):
+            GroupRingElement({A: True})

@@ -42,6 +42,17 @@ class TestArithmetic:
     def test_add_cancels(self):
         assert (t - 1) + (1 - t) == LaurentPoly.zero()
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{True: 3}, {1: False}, {0: 1.0}, {"1": 1}],
+        ids=["bool-exp", "bool-coeff", "float", "str"],
+    )
+    def test_constructor_rejects_non_integers(self, coeffs):
+        # a bool exponent used to reach to_json_dict as "min_degree": true
+        message = "^exponents and coefficients must be integers$"
+        with pytest.raises(TypeError, match=message):
+            LaurentPoly(coeffs)
+
     def test_duplicate_exponents_accumulate(self):
         assert LaurentPoly([(2, 1), (2, 1), (0, -1)]) == LaurentPoly({2: 2, 0: -1})
         assert LaurentPoly([(1, 1), (1, -1)]) == LaurentPoly.zero()

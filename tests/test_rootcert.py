@@ -298,7 +298,7 @@ class TestFindSimpleRoots:
         with pytest.raises(ValueError):
             find_simple_roots(LaurentPoly.one(), grid_factor=0)
 
-    @pytest.mark.parametrize("grid_factor", [1.5, "2"], ids=["float", "str"])
+    @pytest.mark.parametrize("grid_factor", [1.5, "2", True], ids=["float", "str", "bool"])
     def test_grid_factor_must_be_an_integer(self, grid_factor):
         # rejected up front, not deep inside range() or a str/int comparison
         message = f"^grid_factor must be an integer, got {type(grid_factor).__name__}$"
