@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
+from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn, _is_integer
 from .family import closed_form_alexander  # noqa: F401
 from .foxcalc import Weights, _abelianized_row, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
@@ -154,7 +154,7 @@ def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> Laurent
 
 def torus_knot_alexander(p: int, q: int) -> LaurentPoly:
     """Alexander polynomial of the (p, q) torus knot, p, q >= 2 coprime."""
-    if not (isinstance(p, int) and isinstance(q, int)) or p < 2 or q < 2:
+    if not (_is_integer(p) and _is_integer(q)) or p < 2 or q < 2:
         raise ValueError("torus knot parameters must be integers >= 2")
     if math.gcd(p, q) != 1:
         raise NotCoprime(f"gcd({p}, {q}) != 1")

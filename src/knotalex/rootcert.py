@@ -6,24 +6,27 @@ function
     g(theta) = 2*cos(theta/2)*cos(M*theta) + cos(nu*theta),
 
 with M = n + 3m and nu = n - 3/2, so a simple zero of g certifies a simple
-zero of the polynomial at e^(i*theta).  Two certificate kinds are produced:
+zero of the polynomial at e^(i*theta).  Every certificate has one bracket
+check: on [(pi/2)/M, theta_hi], theta_hi set by n, g must be positive at the
+left end and negative at the right, each beyond an explicit margin.
 
-* n = 1: nu = -1/2 makes g factor as cos(theta/2) * (2*cos(M*theta) + 1),
-  whose first zero theta = (2*pi/3)/M is exact (ExactCosine).
-* n >= 2: on the interval ((pi/2)/M, (pi/2)/(n + 3m/2 - 3/4)) the endpoint
-  values of g have opposite signs and -g' > 0, so g is strictly decreasing
-  and crosses zero exactly once (IntervalSignChange).  -g' > 0 is proved on
-  adaptive panels: a panel [a, b] is kept once
-  min(-g'(a), -g'(b)) - L*(b - a)/2 clears an explicit floating-point margin,
-  where L = (M + 1/2)^2 + M^2 + nu^2 bounds |g''|, and is split at its
-  midpoint otherwise, down to a width of (hi - lo)/(PANELS_PER_UNIT*M).
-  Endpoint signs must likewise clear an explicit margin.  The root is then
-  located by bisection.
+* n = 1: theta_hi = (5*pi/6)/M; nu = -1/2 makes g factor as
+  cos(theta/2) * (2*cos(M*theta) + 1), whose first zero (2*pi/3)/M is exact
+  (ExactCosine).
+* n >= 2: theta_hi = (pi/2)/(n + 3m/2 - 3/4), and -g' > 0 makes g strictly
+  decreasing there, so it crosses zero exactly once (IntervalSignChange).
+  -g' > 0 is proved on adaptive panels: a panel [a, b] is kept once
+  min(-g'(a), -g'(b)) - L*(b - a)/2 clears the margin, where
+  L = (M + 1/2)^2 + M^2 + nu^2 bounds |g''|, and is split at its midpoint
+  otherwise, down to a width of (hi - lo)/(PANELS_PER_UNIT*M).  The root is
+  then located by bisection.
 
 ``find_simple_roots`` is the generic companion: it scans any palindromic
 even-span polynomial for sign changes of its centered cosine form on
-(0, pi).  Unlike the family certificates its "simple" flag is a numerical
-judgment (a derivative-magnitude threshold), not a proof.
+(0, pi).  The certificate and the scan locate roots by the same bisection,
+down to a bracket width relative to the bracket's upper end.  The scan's
+"simple" flag is a numerical judgment (a derivative-magnitude threshold),
+not a proof.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from functools import partial
 from itertools import count
 
 from ._record import record
@@ -43,10 +47,10 @@ from .laurent import (
     centered_cosine_value,
 )
 
-#: Bisection stops when the bracket is narrower than this.  The family
-#: bisection scales it by the bracket's upper end: the root theta* ~ pi/(2M)
-#: shrinks as M = n + 3m grows while |g'| near it grows like 2M, so an
-#: absolute width would let the residual grow with M.
+#: Bisection stops when the bracket is narrower than this times its upper
+#: end.  The family root theta* ~ pi/(2M) shrinks as M = n + 3m grows while
+#: |g'| near it grows like 2M, so an absolute width would let the residual
+#: grow with M.
 DEFAULT_BISECTION_WIDTH = 1e-12
 #: |Delta(e^(i*theta_star))| must stay below this.
 DEFAULT_RESIDUAL_BOUND = 1e-8
@@ -144,13 +148,13 @@ def _monotone_witness(params: FamilyParams, lo: float, hi: float) -> Monotonicit
     return MonotonicityWitness(panels, narrowest, lowest, lipschitz)
 
 
-def _bisect(params: FamilyParams, lo: float, hi: float, width: float) -> float:
-    """Bisect g over [lo, hi] with g(lo) > 0 > g(hi) down to a relative width."""
+def _bisect(f, lo: float, hi: float, width: float) -> float:
+    """Bisect f over [lo, hi] with f(lo) > 0 > f(hi) down to a relative width."""
     while hi - lo > width * hi:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # bracket hit float resolution
             break
-        value = circle_function(params, mid)
+        value = f(mid)
         if value > 0.0:
             lo = mid
         elif value < 0.0:
@@ -176,54 +180,33 @@ def certify_family_root(
     n, m = params.n, params.m
     big, _ = _frequencies(params)
     margin = _float_margin(big + 2)
+    g = partial(circle_function, params)
+    theta_lo = (0.5 * math.pi) / big
+    if n == 1:
+        theta_hi = (5.0 * math.pi / 6.0) / big
+    else:
+        theta_hi = (0.5 * math.pi) / (n + 1.5 * m - 0.75)
+    g_lo, g_hi = g(theta_lo), g(theta_hi)
+    if not g_lo > margin:
+        raise CertificationFailed(f"g({theta_lo}) = {g_lo} not positive beyond margin")
+    if not g_hi < -margin:
+        raise CertificationFailed(f"g({theta_hi}) = {g_hi} not negative beyond margin")
 
     if n == 1:
+        kind = CertificateKind.EXACT_COSINE
         theta_star = (2.0 * math.pi / 3.0) / big
-        theta_lo = (0.5 * math.pi) / big
-        theta_hi = (5.0 * math.pi / 6.0) / big
-        g_lo = circle_function(params, theta_lo)
-        g_hi = circle_function(params, theta_hi)
-        if not (g_lo > margin and g_hi < -margin):
-            raise CertificationFailed("bracket signs failed for the exact-cosine case")
-        if abs(circle_function(params, theta_star)) > 1e-12:
+        if abs(g(theta_star)) > 1e-12:
             raise CertificationFailed("g is not numerically zero at the exact root")
         witness = (
             "g(theta) = cos(theta/2) * (2*cos(M*theta) + 1) for n = 1; "
             f"the second factor vanishes at theta = 2*pi/(3*{big}) where its "
             "derivative is nonzero and the first factor is positive"
         )
-        return RootCertificate(
-            CertificateKind.EXACT_COSINE,
-            theta_lo,
-            theta_hi,
-            theta_star,
-            g_lo,
-            g_hi,
-            witness,
-        )
-
-    theta_lo = (0.5 * math.pi) / big
-    theta_hi = (0.5 * math.pi) / (n + 1.5 * m - 0.75)
-    if not (0.0 < theta_lo < theta_hi <= 2.0 * math.pi / 7.0 + 1e-15):
-        raise CertificationFailed("interval endpoints out of order")
-    g_lo = circle_function(params, theta_lo)
-    g_hi = circle_function(params, theta_hi)
-    if not g_lo > margin:
-        raise CertificationFailed(f"g({theta_lo}) = {g_lo} not positive beyond margin")
-    if not g_hi < -margin:
-        raise CertificationFailed(f"g({theta_hi}) = {g_hi} not negative beyond margin")
-
-    witness = _monotone_witness(params, theta_lo, theta_hi)
-    theta_star = _bisect(params, theta_lo, theta_hi, bisection_width)
-    return RootCertificate(
-        CertificateKind.INTERVAL_SIGN_CHANGE,
-        theta_lo,
-        theta_hi,
-        theta_star,
-        g_lo,
-        g_hi,
-        witness,
-    )
+    else:
+        kind = CertificateKind.INTERVAL_SIGN_CHANGE
+        witness = _monotone_witness(params, theta_lo, theta_hi)
+        theta_star = _bisect(g, theta_lo, theta_hi, bisection_width)
+    return RootCertificate(kind, theta_lo, theta_hi, theta_star, g_lo, g_hi, witness)
 
 
 def residual_at_certified_root(
@@ -285,22 +268,6 @@ def _cosine_derivative(coeffs: list[int], theta: float) -> float:
     )
 
 
-def _bisect_cosine(coeffs: list[int], lo: float, hi: float) -> float:
-    flo = centered_cosine_value(coeffs, lo)
-    while hi - lo > DEFAULT_BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        value = centered_cosine_value(coeffs, mid)
-        if value == 0.0:
-            return mid
-        if (value > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def find_simple_roots(
     p: LaurentPoly, grid_factor: int = DEFAULT_GRID_FACTOR
 ) -> list[CircleRoot]:
@@ -341,6 +308,8 @@ def find_simple_roots(
         if j and value == 0.0:
             emit(thetas[j - 1], thetas[j + 1], thetas[j], values[j - 1] * after < 0)
         elif after != 0.0 and value * after < 0:
-            star = _bisect_cosine(coeffs, thetas[j], thetas[j + 1])
+            sign = 1.0 if value > 0.0 else -1.0
+            cosine = lambda x: sign * centered_cosine_value(coeffs, x)  # noqa: E731
+            star = _bisect(cosine, thetas[j], thetas[j + 1], DEFAULT_BISECTION_WIDTH)
             emit(thetas[j], thetas[j + 1], star, True)
     return roots

@@ -30,7 +30,7 @@ import re
 from collections.abc import Iterable, Iterator
 
 from ._record import record
-from .errors import PresentationError, WordParseError
+from .errors import PresentationError, WordParseError, _is_integer
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
@@ -77,6 +77,10 @@ class Word:
 
     @classmethod
     def generator(cls, name: str, exponent: int = 1) -> Word:
+        if not _is_integer(exponent):
+            raise TypeError(
+                f"exponent must be an integer, got {type(exponent).__name__}"
+            )
         return cls(((name, exponent),))
 
     @property
@@ -106,7 +110,7 @@ class Word:
         return self.inverse()
 
     def __pow__(self, k: int) -> Word:
-        if not isinstance(k, int):
+        if not _is_integer(k):
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)

@@ -352,6 +352,16 @@ class TestTorusKnots:
         with pytest.raises(ValueError):
             torus_knot_alexander(1, 5)
 
+    @pytest.mark.parametrize(
+        "p, q",
+        [(2, True), (True, 3), (2.0, 3), (2, "3")],
+        ids=["bool-q", "bool-p", "float", "str"],
+    )
+    def test_non_integer_parameters(self, p, q):
+        message = "^torus knot parameters must be integers >= 2$"
+        with pytest.raises(ValueError, match=message):
+            torus_knot_alexander(p, q)
+
 
 class TestCircleNumerator:
     """2*g(theta) is the numerator of Delta transported to the unit circle."""

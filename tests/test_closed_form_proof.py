@@ -22,6 +22,10 @@ is checked in Z[t^+-1, U^+-1, V^+-1] multiplied through by (t - 1)^2, which
 is not a zero divisor.  Substituting U = t^n and V = t^m then gives the
 closed form's quotient for every n, m >= 1.
 
+The same bookkeeping shows the preferred longitude null-homologous for every
+member: its seven block exponents are affine in n and m too, and its
+homology class a + 2w (weights a -> t, w -> t^2) vanishes as an affine form.
+
 A polynomial in t, U and V is a dict from exponent triples (i, j, k) of
 t^i U^j V^k to nonzero integer coefficients.  A block exponent c + p n + q m
 is the triple (c, p, q).
@@ -34,6 +38,7 @@ from knotalex.family import (
     FamilyParams,
     closed_form_alexander,
     knot_group_presentation,
+    preferred_longitude,
 )
 from knotalex.foxcalc import Weights, abelianize, compute_weights, fox_derivative
 from knotalex.laurent import LaurentPoly, t
@@ -49,6 +54,16 @@ BLOCKS = (
     ("w a", (0, 0, -1)),
     ("a", (-1, 0, 0)),
     ("w a", (0, 0, 1)),
+)
+#: The same for each factor of preferred_longitude, left to right.
+LONGITUDE = (
+    ("a", (2, -4, -9)),
+    ("w a", (0, 0, 1)),
+    ("w", (0, 1, 0)),
+    ("a w", (-1, 0, 1)),
+    ("a", (1, 0, 0)),
+    ("w", (0, 1, 0)),
+    ("a w", (0, 0, 1)),
 )
 GENERATORS = ("a", "w")
 WEIGHTS = Weights(tuple(zip(GENERATORS, (1, 2))))
@@ -87,11 +102,20 @@ def _at(p, n, m) -> LaurentPoly:
     return LaurentPoly((i + j * n + k * m, coeff) for (i, j, k), coeff in p.items())
 
 
-def _block_word(n, m):
+def _block_word(n, m, blocks=BLOCKS):
     word = parse_word("", GENERATORS)
-    for base, (c, p, q) in BLOCKS:
+    for base, (c, p, q) in blocks:
         word = word * parse_word(base, GENERATORS) ** (c + p * n + q * m)
     return word
+
+
+def _exponent_sum(blocks, gen):
+    """A generator's exponent sum over the blocks, as (constant, n, m)."""
+    total = [0, 0, 0]
+    for base, exponent in blocks:
+        step = parse_word(base, GENERATORS).exponent_sum(gen)
+        total = [x + step * e for x, e in zip(total, exponent)]
+    return total
 
 
 def _derivative_times_denominator():
@@ -112,12 +136,22 @@ def _derivative_times_denominator():
 
 
 def test_exponent_sums_are_minus_two_and_one_for_every_member():
-    for gen, expected in (("a", -2), ("w", 1)):
-        total = [0, 0, 0]
-        for base, exponent in BLOCKS:
-            step = parse_word(base, GENERATORS).exponent_sum(gen)
-            total = [x + step * e for x, e in zip(total, exponent)]
-        assert total == [expected, 0, 0], gen
+    assert _exponent_sum(BLOCKS, "a") == [-2, 0, 0]
+    assert _exponent_sum(BLOCKS, "w") == [1, 0, 0]
+
+
+def test_longitude_is_null_homologous_for_every_member():
+    a_sum = _exponent_sum(LONGITUDE, "a")
+    w_sum = _exponent_sum(LONGITUDE, "w")
+    assert a_sum == [2, -4, -6]  # -4n - 6m + 2
+    assert w_sum == [-1, 2, 3]  # 2n + 3m - 1
+    assert [a + 2 * w for a, w in zip(a_sum, w_sum)] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("n, m", MEMBERS)
+def test_longitude_factors_are_the_package_longitude(n, m):
+    expected = preferred_longitude(FamilyParams(n, m))
+    assert _block_word(n, m, LONGITUDE) == expected  # both freely reduced
 
 
 def test_identity_holds_in_three_variables():

@@ -233,6 +233,26 @@ class TestFormatting:
             blob = json.dumps(to_json_dict(p))
             assert from_json_dict(json.loads(blob)) == p
 
+    @pytest.mark.parametrize(
+        "min_degree, coeffs, message",
+        [
+            (True, ["1"], "min_degree must be an integer, got bool"),
+            ("3", ["1"], "min_degree must be an integer, got str"),
+            (1.0, ["1"], "min_degree must be an integer, got float"),
+            (0, [True, 2.7], "coeffs must be a list of decimal strings"),
+            (0, ["1", 2], "coeffs must be a list of decimal strings"),
+            (0, "12", "coeffs must be a list of decimal strings"),
+        ],
+        ids=[
+            "bool-degree", "str-degree", "float-degree", "bool-float", "int-coeff",
+            "str-coeffs",
+        ],
+    )
+    def test_from_json_takes_only_the_written_shape(self, min_degree, coeffs, message):
+        data = {"min_degree": min_degree, "coeffs": coeffs}
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            from_json_dict(data)
+
     def test_json_shape_and_decimal_strings(self):
         data = to_json_dict(LaurentPoly({-1: 10**40, 1: -2}))
         assert data["min_degree"] == -1

@@ -1,5 +1,6 @@
 """The lazily loaded package surface and the frozen record classes."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -132,3 +133,29 @@ class TestRecords:
         assert Point(1) == Point(x=1, y=0)
         assert repr(Point(1, 2)) == "Point(x=1, y=2)"
         assert not hasattr(Point(1), "__dataclass_fields__")
+
+
+def _names_int(node) -> bool:
+    if isinstance(node, ast.Tuple):
+        return any(_names_int(element) for element in node.elts)
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def test_integer_checks_go_through_is_integer():
+    # isinstance(x, int) also accepts bools; every integer input shares
+    # errors._is_integer instead, so no module may call it on int itself
+    package = Path(knotalex.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and _names_int(node.args[1])
+            ):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

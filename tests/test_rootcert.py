@@ -157,6 +157,40 @@ class TestCertification:
             )
 
 
+class TestBracketChecks:
+    """Each CertificationFailed raise site of certify_family_root, per kind."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_left_sign(self, monkeypatch, n):
+        cert = certify_family_root(FamilyParams(n, 3))
+        monkeypatch.setattr(rootcert, "circle_function", lambda params, theta: -1.0)
+        with pytest.raises(CertificationFailed) as info:
+            certify_family_root(FamilyParams(n, 3))
+        message = f"g({cert.theta_lo}) = -1.0 not positive beyond margin"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_right_sign(self, monkeypatch, n):
+        cert = certify_family_root(FamilyParams(n, 3))
+        monkeypatch.setattr(rootcert, "circle_function", lambda params, theta: 1.0)
+        with pytest.raises(CertificationFailed) as info:
+            certify_family_root(FamilyParams(n, 3))
+        message = f"g({cert.theta_hi}) = 1.0 not negative beyond margin"
+        assert str(info.value) == message
+
+    def test_exact_root(self, monkeypatch):
+        # the shift keeps both bracket signs but moves the n = 1 zero
+        def shifted(params, theta):
+            return circle_function(params, theta) + 1e-6
+
+        monkeypatch.setattr(rootcert, "circle_function", shifted)
+        cert = certify_family_root(FamilyParams(2, 3))
+        assert cert.kind is CertificateKind.INTERVAL_SIGN_CHANGE
+        with pytest.raises(CertificationFailed) as info:
+            certify_family_root(FamilyParams(1, 3))
+        assert str(info.value) == "g is not numerically zero at the exact root"
+
+
 class TestResidual:
     def test_small_residuals(self):
         # (26490, 1194) has its root near 5e-5, where |g'| is about 6e4: only a
@@ -282,6 +316,15 @@ class TestFindSimpleRoots:
                 roots = find_simple_roots(torus_knot_alexander(p, q), grid_factor)
                 assert len(roots) == (p - 1) * (q - 1) // 2, (p, q)
                 assert all(r.odd_multiplicity and r.simple for r in roots), (p, q)
+
+    def test_scan_bisects_to_relative_width(self):
+        # T(2, 301) = (t^301 + 1)/(t + 1) has its roots at pi(2j + 1)/301;
+        # the first is 0.0104, so only a relative width reaches 1e-12 there
+        roots = find_simple_roots(torus_knot_alexander(2, 301), grid_factor=2)
+        assert len(roots) == 150
+        for j, root in enumerate(roots):
+            want = math.pi * (2 * j + 1) / 301
+            assert abs(root.theta_star - want) < 1e-12 * want, j
 
     def test_constant_polynomial_has_no_roots(self):
         assert find_simple_roots(LaurentPoly.one()) == []

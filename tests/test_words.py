@@ -122,6 +122,20 @@ class TestGroupOps:
         assert (A * W) ** -2 == ((A * W) ** 2).inverse()
         assert A**-3 == Word.generator("a", -3)
 
+    @pytest.mark.parametrize(
+        "exponent", [True, False, 1.5, "2"], ids=["true", "false", "float", "str"]
+    )
+    def test_generator_rejects_non_integer_exponents(self, exponent):
+        message = f"^exponent must be an integer, got {type(exponent).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            Word.generator("a", exponent)
+
+    @pytest.mark.parametrize("k", [True, 1.5, "2"], ids=["bool", "float", "str"])
+    def test_pow_rejects_non_integer_exponents(self, k):
+        assert A.__pow__(k) is NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand"):
+            A**k
+
     def test_exponent_sum_examples(self):
         assert Word.identity().exponent_sum("a") == 0
         rel = family_relator(1, 1)
