@@ -11,9 +11,9 @@ so the polynomial is the exact quotient det(A_j) * (t - 1) / (t^e_j - 1),
 normalized.  The choice of deleted column does not change the result.  The
 determinant is taken by Bareiss fraction-free elimination, exact division,
 in O(l^3) ring operations.  At t = 1 the matrix is the integer exponent-sum
-matrix E, and the polynomial's value there is det(E_j) / e_j; that value is
-checked to be +-1 before any free derivative is taken, so torsion in H1 is
-rejected from the exponent sums alone.
+matrix E, and the polynomial's value there is det(E_j) / e_j.  The one
+elimination of E that gives the weights gives this value, checked to be +-1
+before any free derivative is taken, so torsion in H1 is rejected early.
 
 The family's closed form lives in ``family`` and is re-exported here.  For
 n = 2 the family degenerates to (3, 3m+2) torus knots, which gives an
@@ -27,7 +27,7 @@ import math
 from ._record import record
 from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn, _is_integer
 from .family import closed_form_alexander  # noqa: F401
-from .foxcalc import Weights, _abelianized_row, compute_weights
+from .foxcalc import Weights, _abelianized_row, _weights_and_unit, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
 from .words import Presentation
 
@@ -115,7 +115,7 @@ def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> Laurent
     at t = 1 is det(E_j) / e_j, where E_j is the integer exponent-sum matrix
     without the deleted column, and it must be +-1.
     """
-    weights = compute_weights(presentation)
+    weights, unit = _weights_and_unit(presentation)
     gens = presentation.generators
     if via == AUTO:
         candidates = [(weights[g], i) for i, g in enumerate(gens)]
@@ -130,17 +130,7 @@ def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> Laurent
                 f"generator {via!r} has weight 0; its column cannot be removed"
             )
     weight = weights[gens[removed]]
-    sums = [
-        [
-            LaurentPoly.monomial(0, rel.exponent_sum(g))
-            for j, g in enumerate(gens)
-            if j != removed
-        ]
-        for rel in presentation.relators
-    ]
-    # Exact: the quotient q below satisfies q * (1 + t + ... + t^(e_j - 1)) =
-    # det(A_j), so q(1) = det(E_j) / e_j, the value normalization checks.
-    value = _determinant(sums).coefficient(0) // weight
+    value = unit if removed % 2 == 0 else -unit  # det(E_j) / e_j
     if value not in (1, -1):
         raise NotAKnotPolynomial(f"value at t = 1 is {value}, expected +1 or -1")
     minor = [

@@ -14,9 +14,9 @@ sum_g (du/dg) * (g - 1) = u - 1 holds for every word u and pins down the
 whole calculus; the test suite exercises it directly.
 
 Abelianization sends each generator g to t^weight(g), where the weights span
-the integer nullspace of the relator exponent-sum matrix.  For a knot-like
-presentation that nullspace is one-dimensional and the primitive,
-meridian-positive vector is unique.
+the integer nullspace of the relator exponent-sum matrix E.  One elimination
+of E gives its rank (the nullspace must be one-dimensional), the primitive,
+meridian-positive weights and the value det(E_j) / weight_j at t = 1.
 
 The Alexander matrix needs only the abelianized derivatives, and
 ``_abelianized_row`` computes those in one pass over a relator's syllables
@@ -153,33 +153,51 @@ class Weights:
         return dict(self.entries)
 
 
-def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
-    matrix = [[Fraction(v) for v in row] for row in rows]
+def _weights_and_unit(presentation: Presentation) -> tuple[Weights, int]:
+    """Weights and the unit u with det(E_j) = (-1)^j * u * weight_j for every j.
+
+    One Gauss-Jordan pass over the exponent-sum matrix E tracks det(E_f), the
+    signed product of the pivots, where f is the one free column.  The signed
+    maximal minors m_j = (-1)^j det(E_j) span ker E, so with v the kernel
+    vector that has v_f = 1 they are m = (-1)^f det(E_f) v.  The weights are
+    m / u for u = +-gcd(m), signed so that the meridian's weight, or the first
+    nonzero weight if the meridian's is zero, is positive.
+    """
+    gens, relators = presentation.generators, presentation.relators
+    matrix = [[Fraction(rel.exponent_sum(g)) for g in gens] for rel in relators]
     pivot_cols: list[int] = []
-    rank = 0
-    for col in range(ncols):
+    det = Fraction(1)
+    for col in range(len(gens)):
+        rank = len(pivot_cols)
         pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot is None:
             continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        if pivot != rank:
+            matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+            det = -det
         scale = matrix[rank][col]
+        det *= scale
         matrix[rank] = [v / scale for v in matrix[rank]]
         for r in range(len(matrix)):
             if r != rank and matrix[r][col]:
                 factor = matrix[r][col]
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         pivot_cols.append(col)
-        rank += 1
-        if rank == len(matrix):
-            break
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for r, col in enumerate(pivot_cols):
-            vec[col] = -matrix[r][free]
-        basis.append(vec)
-    return basis
+    nullity = len(gens) - len(pivot_cols)
+    if nullity != 1:
+        raise H1RankNotOne(
+            f"exponent-sum nullspace has dimension {nullity}, expected 1"
+        )
+    free = next(c for c in range(len(gens)) if c not in pivot_cols)
+    signed = det if free % 2 == 0 else -det
+    minors = [int(signed)] * len(gens)
+    for row, col in zip(matrix, pivot_cols):
+        minors[col] = int(-signed * row[free])
+    meridian = presentation.meridian
+    lead = minors[gens.index(meridian)] if meridian is not None else 0
+    lead = lead or next(v for v in minors if v)
+    unit = math.gcd(*minors) if lead > 0 else -math.gcd(*minors)
+    return Weights(tuple(zip(gens, (v // unit for v in minors)))), unit
 
 
 def compute_weights(presentation: Presentation) -> Weights:
@@ -189,28 +207,7 @@ def compute_weights(presentation: Presentation) -> Weights:
     (H1RankNotOne otherwise); the sign is fixed so the meridian's weight, or
     the first nonzero weight, is positive.
     """
-    gens = presentation.generators
-    rows = [[rel.exponent_sum(g) for g in gens] for rel in presentation.relators]
-    basis = _rational_nullspace(rows, len(gens))
-    if len(basis) != 1:
-        raise H1RankNotOne(
-            f"exponent-sum nullspace has dimension {len(basis)}, expected 1"
-        )
-    vec = basis[0]
-    common = math.lcm(*(f.denominator for f in vec))
-    ints = [int(f * common) for f in vec]
-    divisor = math.gcd(*(abs(v) for v in ints))
-    ints = [v // divisor for v in ints]
-    reference = None
-    if presentation.meridian is not None:
-        idx = gens.index(presentation.meridian)
-        if ints[idx]:
-            reference = idx
-    if reference is None:
-        reference = next(i for i, v in enumerate(ints) if v)
-    if ints[reference] < 0:
-        ints = [-v for v in ints]
-    return Weights(tuple(zip(gens, ints)))
+    return _weights_and_unit(presentation)[0]
 
 
 def abelianize(element: GroupRingElement, weights: Weights) -> LaurentPoly:

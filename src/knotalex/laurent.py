@@ -358,10 +358,14 @@ def to_json_dict(p: LaurentPoly) -> dict:
 
 
 def from_json_dict(data: Mapping) -> LaurentPoly:
-    """Inverse of ``to_json_dict``: an int min_degree and decimal strings only."""
+    """Inverse of ``to_json_dict``: an int min_degree and canonical decimal strings."""
     low, coeffs = data["min_degree"], data["coeffs"]
     if not _is_integer(low):
         raise TypeError(f"min_degree must be an integer, got {type(low).__name__}")
     if not (isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs)):
         raise TypeError("coeffs must be a list of decimal strings")
-    return LaurentPoly({low + i: int(text) for i, text in enumerate(coeffs)})
+    values = {low + i: int(text) for i, text in enumerate(coeffs)}
+    for text, value in zip(coeffs, values.values()):
+        if str(value) != text:
+            raise ValueError(f"coefficient {text!r} is not canonical decimal text")
+    return LaurentPoly(values)

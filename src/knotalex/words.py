@@ -77,6 +77,8 @@ class Word:
 
     @classmethod
     def generator(cls, name: str, exponent: int = 1) -> Word:
+        if not is_generator_name(name):
+            raise ValueError(f"invalid generator name {name!r}")
         if not _is_integer(exponent):
             raise TypeError(
                 f"exponent must be an integer, got {type(exponent).__name__}"
@@ -230,6 +232,8 @@ class Presentation:
             )
         declared = set(self.generators)
         for relator in self.relators:
+            if not isinstance(relator, Word):
+                raise TypeError(f"relators must be Words, got {type(relator).__name__}")
             undeclared = relator.generators() - declared
             if undeclared:
                 raise PresentationError(

@@ -1,13 +1,22 @@
 """Shared hypothesis strategies and oracles for the test suite."""
 
 import cmath
+import math
+from fractions import Fraction
 from itertools import accumulate
 
 from hypothesis import strategies as st
 
-from knotalex.errors import NotDivisible
-from knotalex.laurent import LaurentPoly
-from knotalex.words import Word
+from knotalex import alexander
+from knotalex.errors import (
+    H1RankNotOne,
+    NotAKnotPolynomial,
+    NotDivisible,
+    ZeroWeightColumn,
+)
+from knotalex.foxcalc import Weights, _abelianized_row
+from knotalex.laurent import LaurentPoly, exact_div, normalize_knot_poly
+from knotalex.words import Presentation, Word
 
 ALPHABET = ("a", "b", "c")
 
@@ -19,6 +28,18 @@ _syllable = st.tuples(
 
 def words(max_syllables: int = 8) -> st.SearchStrategy[Word]:
     return st.lists(_syllable, max_size=max_syllables).map(Word)
+
+
+@st.composite
+def presentations(draw, max_generators: int = 6) -> Presentation:
+    """Deficiency-one presentations on up to six generators, exponents -3..3."""
+    gens = ("a", "b", "c", "d", "e", "f")[: draw(st.integers(1, max_generators))]
+    syllable = st.tuples(st.sampled_from(gens), st.integers(-3, 3).filter(bool))
+    relator = st.lists(syllable, min_size=1, max_size=4).map(Word)
+    size = len(gens) - 1
+    relators = draw(st.lists(relator, min_size=size, max_size=size))
+    meridian = draw(st.none() | st.sampled_from(gens))
+    return Presentation(gens, tuple(relators), meridian)
 
 
 def laurent_polys(max_terms: int = 6) -> st.SearchStrategy[LaurentPoly]:
@@ -58,3 +79,94 @@ def _dense_closed_form_oracle(n: int, m: int) -> list[int]:
         raise NotDivisible("remainder is nonzero")
     del dense[span + 1 :]
     return dense
+
+
+def _rational_nullspace(rows: list[list[int]], ncols: int) -> list[list[Fraction]]:
+    """Reference basis of the rational nullspace: Gauss-Jordan over Fraction."""
+    matrix = [[Fraction(v) for v in row] for row in rows]
+    pivot_cols: list[int] = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        scale = matrix[rank][col]
+        matrix[rank] = [v / scale for v in matrix[rank]]
+        for r in range(len(matrix)):
+            if r != rank and matrix[r][col]:
+                factor = matrix[r][col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
+        pivot_cols.append(col)
+        rank += 1
+        if rank == len(matrix):
+            break
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivot_cols):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, col in enumerate(pivot_cols):
+            vec[col] = -matrix[r][free]
+        basis.append(vec)
+    return basis
+
+
+def _weights_oracle(presentation: Presentation) -> Weights:
+    """Reference weights: a nullspace basis, cleared of denominators, made primitive."""
+    gens = presentation.generators
+    rows = [[rel.exponent_sum(g) for g in gens] for rel in presentation.relators]
+    basis = _rational_nullspace(rows, len(gens))
+    if len(basis) != 1:
+        raise H1RankNotOne(
+            f"exponent-sum nullspace has dimension {len(basis)}, expected 1"
+        )
+    vec = basis[0]
+    common = math.lcm(*(f.denominator for f in vec))
+    ints = [int(f * common) for f in vec]
+    divisor = math.gcd(*(abs(v) for v in ints))
+    ints = [v // divisor for v in ints]
+    reference = None
+    if presentation.meridian is not None:
+        idx = gens.index(presentation.meridian)
+        if ints[idx]:
+            reference = idx
+    if reference is None:
+        reference = next(i for i, v in enumerate(ints) if v)
+    if ints[reference] < 0:
+        ints = [-v for v in ints]
+    return Weights(tuple(zip(gens, ints)))
+
+
+def _alexander_oracle(presentation: Presentation, via: str) -> LaurentPoly:
+    """Reference Alexander polynomial: the value at t = 1 from det(E_j) / e_j.
+
+    det(E_j) is the determinant of the exponent sums without column j, taken
+    as constant Laurent polynomials; the weights come from ``_weights_oracle``.
+    """
+    weights = _weights_oracle(presentation)
+    gens = presentation.generators
+    if via == alexander.AUTO:
+        removed = min((weights[g], i) for i, g in enumerate(gens) if weights[g] > 0)[1]
+    else:
+        removed = gens.index(via)
+        if weights[via] == 0:
+            raise ZeroWeightColumn(
+                f"generator {via!r} has weight 0; its column cannot be removed"
+            )
+    weight = weights[gens[removed]]
+    sums = [
+        [
+            LaurentPoly.monomial(0, rel.exponent_sum(g))
+            for j, g in enumerate(gens)
+            if j != removed
+        ]
+        for rel in presentation.relators
+    ]
+    value = alexander._determinant(sums).coefficient(0) // weight
+    if value not in (1, -1):
+        raise NotAKnotPolynomial(f"value at t = 1 is {value}, expected +1 or -1")
+    rows = [_abelianized_row(rel, gens, weights) for rel in presentation.relators]
+    minor = [[poly for j, poly in enumerate(row) if j != removed] for row in rows]
+    numerator = alexander._determinant(minor) * LaurentPoly({1: 1, 0: -1})
+    denominator = LaurentPoly({weight: 1, 0: -1})
+    return normalize_knot_poly(exact_div(numerator, denominator))

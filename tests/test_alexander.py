@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from _strategies import _dense_closed_form_oracle, laurent_polys
+from _strategies import (
+    _alexander_oracle,
+    _dense_closed_form_oracle,
+    _weights_oracle,
+    laurent_polys,
+    presentations,
+)
 from knotalex import alexander, family, foxcalc, laurent
 from knotalex.alexander import (
     alexander_matrix,
@@ -14,7 +20,12 @@ from knotalex.alexander import (
     closed_form_alexander,
     torus_knot_alexander,
 )
-from knotalex.errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn
+from knotalex.errors import (
+    KnotAlexError,
+    NotAKnotPolynomial,
+    NotCoprime,
+    ZeroWeightColumn,
+)
 from knotalex.family import FamilyParams, knot_group_presentation
 from knotalex.foxcalc import abelianize, compute_weights, fox_derivative
 from knotalex.laurent import (
@@ -24,7 +35,7 @@ from knotalex.laurent import (
     normalize_knot_poly,
 )
 from knotalex.rootcert import circle_function
-from knotalex.words import Presentation, Word, parse_presentation
+from knotalex.words import Presentation, Word, parse_presentation, parse_word
 
 TREFOIL_PRESENTATION = parse_presentation("gens: x y\nrel: x y x (y x y)^-1\n")
 TREFOIL = LaurentPoly({0: 1, 1: -1, 2: 1})
@@ -217,6 +228,17 @@ class TestPipeline:
     def test_unknot(self):
         assert alexander_polynomial(Presentation(("a",), ())) == LaurentPoly.one()
 
+    def test_takes_one_determinant(self, monkeypatch):
+        # the value at t = 1 comes from the weights' elimination, not a second
+        # determinant of the exponent sums
+        calls = []
+        determinant = alexander._determinant
+        counted = lambda rows: calls.append(rows) or determinant(rows)  # noqa: E731
+        monkeypatch.setattr(alexander, "_determinant", counted)
+        presentation = torus_2k_wirtinger(5)
+        assert alexander_polynomial(presentation) == torus_knot_alexander(2, 5)
+        assert len(calls) == 1
+
     def test_torus_like_presentation_x2_y3(self):
         # <x, y | x^2 (y^3)^-1> also presents the trefoil group, and
         # <x, y | x (y x)^k y^-1> the group of the (2, 2k + 1) torus knot
@@ -226,6 +248,37 @@ class TestPipeline:
         ]:
             p = parse_presentation(f"gens: x y\nrel: {relator}\n")
             assert alexander_polynomial(p) == expected, relator
+
+
+def _two_generators(relator: str, meridian: str | None = None) -> Presentation:
+    return Presentation(("x", "y"), (parse_word(relator, ("x", "y")),), meridian)
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except KnotAlexError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOneEliminationMatchesOracle:
+    """Weights and the value at t = 1 from one elimination match the old routes."""
+
+    @settings(deadline=None)
+    @given(presentation=presentations())
+    @example(presentation=_two_generators("x y x^-1 y^-1"))  # rank 2
+    @example(presentation=_two_generators("x^9 y^-6"))  # torsion
+    @example(presentation=_two_generators("y"))  # zero-weight column
+    @example(presentation=_two_generators("x y", meridian="y"))  # meridian sign
+    @example(presentation=_two_generators("y", meridian="y"))  # zero meridian weight
+    @example(presentation=MANY_GENERATORS[1])
+    def test_weights_and_polynomial(self, presentation):
+        assert _outcome(lambda: compute_weights(presentation)) == _outcome(
+            lambda: _weights_oracle(presentation)
+        )
+        for via in (alexander.AUTO, *presentation.generators):
+            result = _outcome(lambda: alexander_polynomial(presentation, via))
+            assert result == _outcome(lambda: _alexander_oracle(presentation, via)), via
 
 
 def _closed_form_oracle(n: int, m: int) -> LaurentPoly:

@@ -253,6 +253,14 @@ class TestFormatting:
         with pytest.raises(TypeError, match=f"^{message}$"):
             from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "text", ["+7", " 1_0 ", "\u0661\u0662", "007", "-0"],
+        ids=["plus", "space-underscore", "arabic-indic", "leading-zeros", "minus-zero"],
+    )
+    def test_from_json_reads_only_canonical_decimals(self, text):
+        with pytest.raises(ValueError, match="is not canonical decimal text$"):
+            from_json_dict({"min_degree": 0, "coeffs": ["1", text]})
+
     def test_json_shape_and_decimal_strings(self):
         data = to_json_dict(LaurentPoly({-1: 10**40, 1: -2}))
         assert data["min_degree"] == -1

@@ -130,6 +130,12 @@ class TestGroupOps:
         with pytest.raises(TypeError, match=message):
             Word.generator("a", exponent)
 
+    @pytest.mark.parametrize("name", ["a b", "", "1a", "a^2"])
+    def test_generator_rejects_invalid_names(self, name):
+        message = re.escape(f"invalid generator name {name!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Word.generator(name, 2)
+
     @pytest.mark.parametrize("k", [True, 1.5, "2"], ids=["bool", "float", "str"])
     def test_pow_rejects_non_integer_exponents(self, k):
         assert A.__pow__(k) is NotImplemented
@@ -203,6 +209,10 @@ class TestPresentation:
     def test_undeclared_generator_in_relator(self):
         with pytest.raises(PresentationError):
             Presentation(("a", "w"), (Word.generator("x"),))
+
+    def test_relators_must_be_words(self):
+        with pytest.raises(TypeError, match="^relators must be Words, got str$"):
+            Presentation(("a", "b"), ("a b",))
 
     def test_duplicate_names(self):
         with pytest.raises(PresentationError):
