@@ -92,20 +92,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     from .family import FamilyParams
-    from .rootcert import (
-        DEFAULT_BISECTION_WIDTH,
-        DEFAULT_RESIDUAL_BOUND,
-        certificate_record,
-        certify_family_root,
-    )
+    from .rootcert import certificate_record, certify_family_root
 
-    tol = DEFAULT_BISECTION_WIDTH if args.tol is None else args.tol
     params = FamilyParams(args.n, args.m)
-    certificate = certify_family_root(params, bisection_width=tol)
-    # the residual tracks the bracket width to first order, so relax the
-    # acceptance bound proportionally when the user widens the bracket
-    bound = DEFAULT_RESIDUAL_BOUND * max(1.0, tol / DEFAULT_BISECTION_WIDTH)
-    record = certificate_record(params, certificate, residual_bound=bound)
+    record = certificate_record(params, certify_family_root(params))
     if args.json:
         _print_json(record)
     else:
@@ -144,7 +134,7 @@ _TABLE_HEADER = ("n", "m", "genus", "slope_bound", "span", "theta_star", "residu
 def _table_rows(n_max: int, m_max: int) -> tuple[list[tuple[str, ...]], list[str]]:
     """The table's rows, and one error line per member that failed to certify."""
     from .family import FamilyParams, genus, slope_bound
-    from .rootcert import certify_family_root, residual_at_certified_root
+    from .rootcert import certificate_record, certify_family_root
 
     rows = []
     errors = []
@@ -152,10 +142,9 @@ def _table_rows(n_max: int, m_max: int) -> tuple[list[tuple[str, ...]], list[str
         for m in range(1, m_max + 1):
             params = FamilyParams(n, m)
             try:
-                certificate = certify_family_root(params)
-                residual = residual_at_certified_root(params, certificate)
-                star = f"{certificate.theta_star:.12g}"
-                res = f"{residual:.3e}"
+                record = certificate_record(params, certify_family_root(params))
+                star = f"{record['theta_star']:.12g}"
+                res = f"{record['residual']:.3e}"
             except KnotAlexError as exc:
                 star = res = f"!{type(exc).__name__}"
                 errors.append(f"error: (n, m) = ({n}, {m}): {type(exc).__name__}: {exc}")
@@ -223,11 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_certify = sub.add_parser("certify", help="certify the family's unit-circle root")
     p_certify.add_argument("--n", type=int, required=True)
     p_certify.add_argument("--m", type=int, required=True)
-    p_certify.add_argument(
-        "--tol",
-        type=float,
-        help="bisection bracket width, relative to its upper end (default 1e-12)",
-    )
     p_certify.add_argument("--json", action="store_true")
     p_certify.set_defaults(func=_cmd_certify)
 

@@ -4,9 +4,9 @@ The family member with parameters (n, m), both at least 1, is the twisted
 torus knot obtained from the (3, 3m+2) torus knot by adding n - 2 full
 twists along two adjacent strands.  Its knot group has a two-generator,
 one-relator presentation on a meridian ``a`` and a second generator ``w``
-whose homology class is twice the meridian's.  Landmarks: (1, 1) is the
-(3, 4) torus knot, n = 2 gives the (3, 3m+2) torus knots, and m = 1 gives
-the (-2, 3, 2n+1) pretzel knots.
+whose homology class is twice the meridian's.  Landmarks: n = 1 gives the
+(3, 3m+1) torus knots, (1, 1) being the (3, 4) torus knot, n = 2 gives the
+(3, 3m+2) torus knots, and m = 1 gives the (-2, 3, 2n+1) pretzel knots.
 
 The member's Alexander polynomial has a closed form: the normalized
 quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by

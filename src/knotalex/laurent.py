@@ -327,6 +327,31 @@ def centered_cosine_value(coeffs: list[int], theta: float) -> float:
     )
 
 
+def _int_to_decimal(value: int) -> str:
+    """str(value), also past CPython's limit on decimal digits."""
+    try:
+        return str(value)
+    except ValueError:  # too many digits: convert each half of them
+        half = value.bit_length() * 3 // 20  # at most half the digits
+        high, low = divmod(abs(value), 10**half)
+        sign = "-" if value < 0 else ""
+        return sign + _int_to_decimal(high) + _int_to_decimal(low).zfill(half)
+
+
+def _decimal_to_int(text: str) -> int:
+    """int(text), also past CPython's limit on decimal digits."""
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) <= 640:  # no digit limit is below 640: a malformed literal
+            raise
+    if text.startswith("-"):
+        return -_decimal_to_int(text[1:])
+    half = len(text) // 2
+    head, tail = _decimal_to_int(text[:half]), _decimal_to_int(text[half:])
+    return head * 10 ** (len(text) - half) + tail
+
+
 def format_poly(p: LaurentPoly) -> str:
     """Human-readable text, ascending powers: ``1 - t + t^2``."""
     if p.is_zero:
@@ -335,10 +360,10 @@ def format_poly(p: LaurentPoly) -> str:
     for exp, coeff in p.items():
         mag = abs(coeff)
         if exp == 0:
-            body = str(mag)
+            body = _int_to_decimal(mag)
         else:
             power = "t" if exp == 1 else f"t^{exp}"
-            body = power if mag == 1 else f"{mag}{power}"
+            body = power if mag == 1 else _int_to_decimal(mag) + power
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
@@ -353,7 +378,7 @@ def to_json_dict(p: LaurentPoly) -> dict:
     low = p.min_degree
     return {
         "min_degree": low,
-        "coeffs": [str(p.coefficient(low + i)) for i in range(p.span + 1)],
+        "coeffs": [_int_to_decimal(p.coefficient(low + i)) for i in range(p.span + 1)],
     }
 
 
@@ -364,8 +389,8 @@ def from_json_dict(data: Mapping) -> LaurentPoly:
         raise TypeError(f"min_degree must be an integer, got {type(low).__name__}")
     if not (isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs)):
         raise TypeError("coeffs must be a list of decimal strings")
-    values = {low + i: int(text) for i, text in enumerate(coeffs)}
+    values = {low + i: _decimal_to_int(text) for i, text in enumerate(coeffs)}
     for text, value in zip(coeffs, values.values()):
-        if str(value) != text:
+        if _int_to_decimal(value) != text:
             raise ValueError(f"coefficient {text!r} is not canonical decimal text")
     return LaurentPoly(values)

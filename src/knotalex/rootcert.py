@@ -24,9 +24,9 @@ left end and negative at the right, each beyond an explicit margin.
 ``find_simple_roots`` is the generic companion: it scans any palindromic
 even-span polynomial for sign changes of its centered cosine form on
 (0, pi).  The certificate and the scan locate roots by the same bisection,
-down to a bracket width relative to the bracket's upper end.  The scan's
-"simple" flag is a numerical judgment (a derivative-magnitude threshold),
-not a proof.
+down to a fixed width of 1e-12 relative to the bracket's upper end, and a
+certificate's residual must be below the fixed bound 1e-8.  The scan's
+"simple" flag is a numerical judgment (a derivative threshold), not a proof.
 """
 
 from __future__ import annotations
@@ -148,12 +148,14 @@ def _monotone_witness(params: FamilyParams, lo: float, hi: float) -> Monotonicit
     return MonotonicityWitness(panels, narrowest, lowest, lipschitz)
 
 
-def _bisect(f, lo: float, hi: float, width: float) -> float:
-    """Bisect f over [lo, hi] with f(lo) > 0 > f(hi) down to a relative width."""
-    while hi - lo > width * hi:
+def _bisect(f, lo: float, hi: float) -> float:
+    """Bisect f over [lo, hi] with f(lo) > 0 > f(hi) down to a relative width.
+
+    DEFAULT_BISECTION_WIDTH * hi is about 4 500 ulps of hi, so the midpoint
+    of a wider bracket lies strictly inside it: no float-resolution guard.
+    """
+    while hi - lo > DEFAULT_BISECTION_WIDTH * hi:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket hit float resolution
-            break
         value = f(mid)
         if value > 0.0:
             lo = mid
@@ -164,19 +166,13 @@ def _bisect(f, lo: float, hi: float, width: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def certify_family_root(
-    params: FamilyParams, bisection_width: float = DEFAULT_BISECTION_WIDTH
-) -> RootCertificate:
+def certify_family_root(params: FamilyParams) -> RootCertificate:
     """Certificate for the first positive root of g; raises CertificationFailed.
 
     Every numeric inequality involved is re-verified at run time with an
     explicit margin, so a certificate is only ever issued when the evidence
     actually holds for the given parameters.
     """
-    if not 0.0 <= bisection_width < math.inf:
-        raise ValueError(
-            f"bisection width must be finite and non-negative, got {bisection_width}"
-        )
     n, m = params.n, params.m
     big, _ = _frequencies(params)
     margin = _float_margin(big + 2)
@@ -205,16 +201,12 @@ def certify_family_root(
     else:
         kind = CertificateKind.INTERVAL_SIGN_CHANGE
         witness = _monotone_witness(params, theta_lo, theta_hi)
-        theta_star = _bisect(g, theta_lo, theta_hi, bisection_width)
+        theta_star = _bisect(g, theta_lo, theta_hi)
     return RootCertificate(kind, theta_lo, theta_hi, theta_star, g_lo, g_hi, witness)
 
 
-def residual_at_certified_root(
-    params: FamilyParams,
-    certificate: RootCertificate,
-    bound: float = DEFAULT_RESIDUAL_BOUND,
-) -> float:
-    """|Delta(e^(i*theta_star))| for the closed-form polynomial; must be < bound.
+def residual_at_certified_root(params: FamilyParams, certificate: RootCertificate) -> float:
+    """|Delta(e^(i*theta_star))| for the closed form; must be < DEFAULT_RESIDUAL_BOUND.
 
     The residual is still computed on the fully expanded polynomial, not from
     g: it sums the coefficient stream that ``closed_form_alexander`` collects,
@@ -226,19 +218,15 @@ def residual_at_certified_root(
     """
     coeffs = _closed_form_coefficients(params.n, params.m)
     residual = abs(_unit_circle_sum(count(), coeffs, certificate.theta_star))
-    if not residual < bound:
+    if not residual < DEFAULT_RESIDUAL_BOUND:
         raise ResidualTooLarge(
             f"residual {residual} at theta_star {certificate.theta_star} "
-            f"is not below {bound}"
+            f"is not below {DEFAULT_RESIDUAL_BOUND}"
         )
     return residual
 
 
-def certificate_record(
-    params: FamilyParams,
-    certificate: RootCertificate,
-    residual_bound: float = DEFAULT_RESIDUAL_BOUND,
-) -> dict:
+def certificate_record(params: FamilyParams, certificate: RootCertificate) -> dict:
     """Flat record of a certificate plus its residual, ready for JSON."""
     return {
         "kind": certificate.kind.value,
@@ -247,7 +235,7 @@ def certificate_record(
         "theta_star": certificate.theta_star,
         "g_lo": certificate.g_at_lo,
         "g_hi": certificate.g_at_hi,
-        "residual": residual_at_certified_root(params, certificate, residual_bound),
+        "residual": residual_at_certified_root(params, certificate),
     }
 
 
@@ -310,6 +298,6 @@ def find_simple_roots(
         elif after != 0.0 and value * after < 0:
             sign = 1.0 if value > 0.0 else -1.0
             cosine = lambda x: sign * centered_cosine_value(coeffs, x)  # noqa: E731
-            star = _bisect(cosine, thetas[j], thetas[j + 1], DEFAULT_BISECTION_WIDTH)
+            star = _bisect(cosine, thetas[j], thetas[j + 1])
             emit(thetas[j], thetas[j + 1], star, True)
     return roots

@@ -235,18 +235,14 @@ class TestCertify:
         assert code == 0
         assert repr(json.loads(out)["residual"]) == digits
 
-    def test_tolerance_flag(self, capsys):
-        code, out, _ = run(
-            capsys, ["certify", "--n", "2", "--m", "1", "--tol", "1e-6", "--json"]
-        )
-        assert code == 0
-        assert abs(json.loads(out)["theta_star"] - 2 * math.pi / 15) < 1e-5
-
-    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-6"])
-    def test_bad_tolerance_rejected(self, capsys, tol):
-        code, out, err = run(capsys, ["certify", "--n", "2", "--m", "1", f"--tol={tol}"])
-        assert code == 1 and out == ""
-        assert err.startswith("error: ValueError: bisection width must be finite")
+    def test_no_tolerance_option(self, capsys):
+        # the bisection width and the residual bound are fixed constants
+        with pytest.raises(SystemExit) as info:
+            main(["certify", "--n", "2", "--m", "1", "--tol", "1e-6"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --tol 1e-6" in captured.err
 
 
 class TestClassify:
@@ -479,3 +475,29 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     assert done.returncode == 0, done.stderr
     assert done.stdout == _fresh(argv, module="knotalex").stdout
     assert done.stdout.startswith("kind: IntervalSignChange\n")
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error's SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("module", ["knotalex", "knotalex.cli"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--n", "3", "--m", "1", "--p", "13", "--q", "1"], 0),
+        (["certify", "--n", "2"], 2),  # --m is required
+    ],
+    ids=["classify", "usage-error"],
+)
+def test_module_entry_points_match_main(capsys, module, argv, code):
+    expected = _in_process(capsys, argv)
+    assert expected[0] == code
+    done = _fresh(argv, module=module)
+    assert (done.returncode, done.stdout, done.stderr) == expected

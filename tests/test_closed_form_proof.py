@@ -29,11 +29,18 @@ homology class a + 2w (weights a -> t, w -> t^2) vanishes as an affine form.
 A polynomial in t, U and V is a dict from exponent triples (i, j, k) of
 t^i U^j V^k to nonzero integer coefficients.  A block exponent c + p n + q m
 is the triple (c, p, q).
+
+The braid check ties the closed form to the knot's definition rather than to
+the package's presentation.  The member (n, m) is the closure of the 3-braid
+(s1 s2)^(3m+2) s1^(2(n-2)), and for a 3-braid beta the reduced Burau matrix
+psi(beta) gives (1 + t + t^2) Delta(t) = det(I - psi(beta)) up to a unit
+(Burau 1936; Birman, Braids, Links and Mapping Class Groups, 1974).  That is
+checked numerically on a grid, not symbolically.
 """
 
 import pytest
 
-from knotalex.alexander import alexander_matrix
+from knotalex.alexander import alexander_matrix, torus_knot_alexander
 from knotalex.family import (
     FamilyParams,
     closed_form_alexander,
@@ -41,7 +48,7 @@ from knotalex.family import (
     preferred_longitude,
 )
 from knotalex.foxcalc import Weights, abelianize, compute_weights, fox_derivative
-from knotalex.laurent import LaurentPoly, t
+from knotalex.laurent import LaurentPoly, exact_div, normalize_knot_poly, t
 from knotalex.words import parse_word
 
 #: (base word, exponent as (constant, n, m)) for each block, left to right.
@@ -194,3 +201,51 @@ def test_span_is_twice_the_genus_for_every_member():
     # N has span 2n + 6m + 1; dividing by the cubic takes 3 off.
     span = tuple(y - x for x, y in zip(low, high))
     assert (span[0] - 3, span[1], span[2]) == (-2, 2, 6)
+
+
+ONE, ZERO, T_INVERSE = LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly.monomial(-1)
+#: The reduced Burau matrices of s1, s1^-1 and s2, as rows.
+SIGMA1 = ((-t, ONE), (ZERO, ONE))
+SIGMA1_INVERSE = ((-T_INVERSE, T_INVERSE), (ZERO, ONE))
+SIGMA2 = ((ONE, ZERO), (t, -t))
+IDENTITY = ((ONE, ZERO), (ZERO, ONE))
+
+
+def _matmul(x, y):
+    return tuple(
+        tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] for j in range(2)) for i in range(2)
+    )
+
+
+def _matpow(x, k):
+    result = IDENTITY
+    while k:
+        if k & 1:
+            result = _matmul(result, x)
+        x, k = _matmul(x, x), k >> 1
+    return result
+
+
+def _braid_alexander(n, m) -> LaurentPoly:
+    """Normalized det(I - psi(beta)) / (1 + t + t^2) for the member's braid."""
+    twist = _matpow(SIGMA1 if n >= 2 else SIGMA1_INVERSE, abs(2 * (n - 2)))
+    beta = _matmul(_matpow(_matmul(SIGMA1, SIGMA2), 3 * m + 2), twist)
+    (a, b), (c, d) = beta
+    det = (1 - a) * (1 - d) - b * c
+    return normalize_knot_poly(exact_div(det, 1 + t + t**2))
+
+
+def test_inverse_burau_generator():
+    assert _matmul(SIGMA1, SIGMA1_INVERSE) == IDENTITY
+
+
+def test_braid_closure_gives_the_closed_form():
+    for n in range(1, 30):
+        for m in range(1, 30):
+            assert _braid_alexander(n, m) == closed_form_alexander(n, m), (n, m)
+
+
+def test_n_one_is_a_torus_knot():
+    # (s1 s2)^(3m+2) s1^-2 closes to the torus knot T(3, 3m + 1)
+    for m in range(1, 40):
+        assert closed_form_alexander(1, m) == torus_knot_alexander(3, 3 * m + 1), m

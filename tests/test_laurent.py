@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given
@@ -265,3 +266,50 @@ class TestFormatting:
         data = to_json_dict(LaurentPoly({-1: 10**40, 1: -2}))
         assert data["min_degree"] == -1
         assert data["coeffs"] == [str(10**40), "0", "-2"]
+
+
+class TestLongDecimals:
+    """Coefficients past CPython's default limit of 4 300 decimal digits."""
+
+    def test_writes_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        big = 10**5000
+        assert to_json_dict(LaurentPoly({0: big}))["coeffs"] == ["1" + "0" * 5000]
+        assert format_poly(LaurentPoly({0: big})) == "1" + "0" * 5000
+        assert format_poly(LaurentPoly({2: -big})) == "-1" + "0" * 5000 + "t^2"
+        # the package never lifts the process-wide limit
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    def test_round_trip_negative(self):
+        p = LaurentPoly({-1: -(10**5000), 1: 3})
+        assert from_json_dict(json.loads(json.dumps(to_json_dict(p)))) == p
+
+    def test_reads_past_the_digit_limit(self):
+        data = {"min_degree": 0, "coeffs": ["9" * 5001]}
+        assert from_json_dict(data) == LaurentPoly({0: 10**5001 - 1})
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0" + "9" * 5000, "+" + "9" * 5000, "9" * 3000 + " " + "9" * 3000, "-" + "0" * 5000],
+        ids=["leading-zero", "plus", "inner-space", "minus-zero"],
+    )
+    def test_long_non_canonical_text_refused(self, text):
+        with pytest.raises(ValueError, match="is not canonical decimal text$"):
+            from_json_dict({"min_degree": 0, "coeffs": [text]})
+
+    def test_long_invalid_text_refused(self):
+        with pytest.raises(ValueError, match="invalid literal"):
+            from_json_dict({"min_degree": 0, "coeffs": ["9" * 4000 + "x" * 1000]})
+
+    @pytest.mark.parametrize("digits", [4301, 4800, 4801, 6000, 6001, 12345])
+    def test_random_long_decimals(self, digits):
+        rng = random.Random(digits)
+        text = "7" + "".join(rng.choice("0000000009") for _ in range(digits - 1))
+        # an independent oracle: Horner over 100-digit pieces
+        value = 0
+        for start in range(0, digits, 100):
+            piece = text[start : start + 100]
+            value = value * 10 ** len(piece) + int(piece)
+        p = LaurentPoly({0: value, 1: -value})
+        assert to_json_dict(p)["coeffs"] == [text, "-" + text]
+        assert from_json_dict(to_json_dict(p)) == p

@@ -1,5 +1,6 @@
 """Certified unit-circle roots: the family function g and the generic scanner."""
 
+import inspect
 import math
 import os
 import random
@@ -126,25 +127,29 @@ class TestCertification:
             certify_family_root(params)
         assert 0 < len(calls) < 10_000
 
-    @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf, -1e-12])
-    def test_bad_bisection_width_rejected(self, width):
-        for n in (1, 2):
-            with pytest.raises(ValueError, match="bisection width"):
-                certify_family_root(FamilyParams(n, 1), bisection_width=width)
-
-    def test_zero_bisection_width_bisects_to_float_resolution(self):
-        cert = certify_family_root(FamilyParams(2, 1), bisection_width=0.0)
-        assert abs(cert.theta_star - 2 * math.pi / 15) < 1e-14
+    def test_fixed_configuration(self):
+        # the bisection width and the residual bound are constants, not knobs
+        signatures = {
+            f.__name__: list(inspect.signature(f).parameters)
+            for f in (
+                certify_family_root,
+                residual_at_certified_root,
+                certificate_record,
+                rootcert._bisect,
+            )
+        }
+        assert signatures == {
+            "certify_family_root": ["params"],
+            "residual_at_certified_root": ["params", "certificate"],
+            "certificate_record": ["params", "certificate"],
+            "_bisect": ["f", "lo", "hi"],
+        }
+        assert rootcert.DEFAULT_BISECTION_WIDTH == 1e-12
 
     def test_large_parameters(self):
         cert = certify_family_root(FamilyParams(50, 50))
         assert cert.theta_lo < cert.theta_star < cert.theta_hi
         assert cert.g_at_lo > 0 > cert.g_at_hi
-
-    def test_bisection_width_controls_bracket(self):
-        wide = certify_family_root(FamilyParams(3, 2), bisection_width=1e-3)
-        narrow = certify_family_root(FamilyParams(3, 2), bisection_width=1e-12)
-        assert abs(wide.theta_star - narrow.theta_star) < 1e-3
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(CertificationFailed):
@@ -225,11 +230,12 @@ class TestResidual:
                 tracemalloc.stop()
             assert peak < 64 * 1024, (n, m, peak)
 
-    def test_unattainable_bound_raises(self):
+    def test_unattainable_bound_raises(self, monkeypatch):
         params = FamilyParams(2, 1)
         cert = certify_family_root(params)
-        with pytest.raises(ResidualTooLarge):
-            residual_at_certified_root(params, cert, bound=1e-30)
+        monkeypatch.setattr(rootcert, "DEFAULT_RESIDUAL_BOUND", 1e-30)
+        with pytest.raises(ResidualTooLarge, match="is not below 1e-30"):
+            residual_at_certified_root(params, cert)
 
     def test_record_shape(self):
         params = FamilyParams(2, 1)
