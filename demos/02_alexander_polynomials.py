@@ -10,11 +10,14 @@ from knotalex import (
     alexander_matrix,
     alexander_polynomial,
     compute_weights,
+    exact_div,
     format_poly,
     fox_derivative,
+    normalize_knot_poly,
     parse_presentation,
     torus_knot_alexander,
 )
+from knotalex.laurent import t
 
 TREFOIL = parse_presentation("gens: x y\nrel: x y x (y x y)^-1\n")
 
@@ -40,8 +43,12 @@ print()
 print("== the polynomial ==")
 delta = alexander_polynomial(TREFOIL)
 print(f"trefoil: {format_poly(delta)}")
-print(f"same result deleting either column: "
-      f"{alexander_polynomial(TREFOIL, via='x') == alexander_polynomial(TREFOIL, via='y')}")
+# deleting a column leaves the other entry as a 1 x 1 minor; divide out
+# (t^weight - 1) / (t - 1) for the deleted generator and normalize
+for gone, kept in [("x", "y"), ("y", "x")]:
+    cycle = t ** matrix.weights[gone] - 1
+    minor = normalize_knot_poly(exact_div(matrix.entry(0, kept) * (t - 1), cycle))
+    print(f"  deleting column {gone}: {format_poly(minor)}  (equal: {minor == delta})")
 
 print()
 print("== torus knot cross-checks ==")

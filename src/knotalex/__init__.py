@@ -1,6 +1,6 @@
 """Alexander polynomials of knots from deficiency-one group presentations.
 
-The package computes Alexander polynomials via free differential (Fox)
+The package computes Alexander polynomials by free differential (Fox)
 calculus, instantiates a two-parameter family of twisted torus knots with
 closed-form polynomials and longitudes, certifies a simple root of each
 family polynomial on the unit circle by interval arguments, and classifies

@@ -8,12 +8,15 @@ gives a square minor whose determinant satisfies
     det(A_j) * (t - 1) = Delta(t) * (t^e_j - 1)    up to a unit +-t^k,
 
 so the polynomial is the exact quotient det(A_j) * (t - 1) / (t^e_j - 1),
-normalized.  The choice of deleted column does not change the result.  The
-determinant is taken by Bareiss fraction-free elimination, exact division,
-in O(l^3) ring operations.  At t = 1 the matrix is the integer exponent-sum
-matrix E, and the polynomial's value there is det(E_j) / e_j.  The one
-elimination of E that gives the weights gives this value, checked to be +-1
-before any free derivative is taken, so torsion in H1 is rejected early.
+normalized (Fox, Free differential calculus II, Ann. of Math. 1954).  Every
+such column gives the same result, so the pipeline always deletes one: the
+column of the smallest positive weight, the first in declaration order on a
+tie.  The determinant is taken by Bareiss fraction-free elimination, exact
+division, in O(l^3) ring operations.  At t = 1 the matrix is the integer
+exponent-sum matrix E, and the polynomial's value there is det(E_j) / e_j.
+The one elimination of E that gives the weights gives this value, checked to
+be +-1 before any free derivative is taken, so torsion in H1 is rejected
+early.
 
 The family's closed form lives in ``family`` and is re-exported here.  For
 n = 2 the family degenerates to (3, 3m+2) torus knots, which gives an
@@ -25,13 +28,11 @@ from __future__ import annotations
 import math
 
 from ._record import record
-from .errors import NotAKnotPolynomial, NotCoprime, ZeroWeightColumn, _is_integer
+from .errors import NotAKnotPolynomial, NotCoprime, _is_integer
 from .family import closed_form_alexander  # noqa: F401
 from .foxcalc import Weights, _abelianized_row, _weights_and_unit, compute_weights
 from .laurent import LaurentPoly, exact_div, normalize_knot_poly
 from .words import Presentation
-
-AUTO = "auto"
 
 
 @record
@@ -103,33 +104,18 @@ def _determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return a[-1][-1] if sign == 1 else -a[-1][-1]
 
 
-def alexander_polynomial(presentation: Presentation, via: str = AUTO) -> LaurentPoly:
+def alexander_polynomial(presentation: Presentation) -> LaurentPoly:
     """Normalized Alexander polynomial of a deficiency-one presentation.
 
-    ``via`` names the generator whose column is deleted; ``"auto"`` picks the
-    generator with the smallest positive weight (ties broken by declaration
-    order).  Deleting a zero-weight column is rejected because the formula
-    divides by t^weight - 1.
-
-    Torsion in H1 is caught before any Fox calculus: the polynomial's value
-    at t = 1 is det(E_j) / e_j, where E_j is the integer exponent-sum matrix
-    without the deleted column, and it must be +-1.
+    The deleted column is that of the smallest positive weight, ties broken
+    by declaration order.  Torsion in H1 is caught before any Fox calculus:
+    the polynomial's value at t = 1 is det(E_j) / e_j, where E_j is the
+    integer exponent-sum matrix without the deleted column, and it must be
+    +-1.
     """
     weights, unit = _weights_and_unit(presentation)
     gens = presentation.generators
-    if via == AUTO:
-        candidates = [(weights[g], i) for i, g in enumerate(gens)]
-        candidates = [(w, i) for w, i in candidates if w > 0]
-        removed = min(candidates)[1]
-    else:
-        if via not in gens:
-            raise ValueError(f"{via!r} is not a generator of this presentation")
-        removed = gens.index(via)
-        if weights[via] == 0:
-            raise ZeroWeightColumn(
-                f"generator {via!r} has weight 0; its column cannot be removed"
-            )
-    weight = weights[gens[removed]]
+    weight, removed = min((weights[g], i) for i, g in enumerate(gens) if weights[g] > 0)
     value = unit if removed % 2 == 0 else -unit  # det(E_j) / e_j
     if value not in (1, -1):
         raise NotAKnotPolynomial(f"value at t = 1 is {value}, expected +1 or -1")

@@ -63,12 +63,11 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_alexander(args: argparse.Namespace) -> int:
-    from .alexander import AUTO, alexander_polynomial
+    from .alexander import alexander_polynomial
     from .words import parse_presentation
 
     presentation = parse_presentation(_read_source(args.file))
-    poly = alexander_polynomial(presentation, via=AUTO if args.via is None else args.via)
-    _poly_output(poly, args.json)
+    _poly_output(alexander_polynomial(presentation), args.json)
     return 0
 
 
@@ -80,6 +79,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
         preferred_longitude,
     )
 
+    if args.json and args.emit != "alexander":
+        args.error("--json applies only to --emit alexander")
     params = FamilyParams(args.n, args.m)
     if args.emit == "presentation":
         print(knot_group_presentation(params).to_text(), end="")
@@ -191,10 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_alex = sub.add_parser("alexander", help="Alexander polynomial of a presentation")
     p_alex.add_argument("--file", required=True, help="presentation file, or - for stdin")
-    p_alex.add_argument(
-        "--via",
-        help="generator column to remove (default: auto = smallest positive weight)",
-    )
     p_alex.add_argument("--json", action="store_true")
     p_alex.set_defaults(func=_cmd_alexander)
 
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p_family.add_argument("--json", action="store_true")
-    p_family.set_defaults(func=_cmd_family)
+    p_family.set_defaults(func=_cmd_family, error=p_family.error)
 
     p_certify = sub.add_parser("certify", help="certify the family's unit-circle root")
     p_certify.add_argument("--n", type=int, required=True)

@@ -50,10 +50,6 @@ class H1RankNotOne(KnotAlexError):
     """Nullspace of the exponent-sum matrix is not one-dimensional."""
 
 
-class ZeroWeightColumn(KnotAlexError):
-    """Requested column removal for a generator of abelianized weight zero."""
-
-
 class NotCoprime(KnotAlexError):
     """Torus-knot parameters must be coprime."""
 

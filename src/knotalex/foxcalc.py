@@ -34,7 +34,7 @@ from operator import mul
 from ._record import record
 from .errors import H1RankNotOne, _is_integer
 from .laurent import LaurentPoly, _IntCombination
-from .words import Presentation, Word
+from .words import Presentation, Word, is_generator_name
 
 
 class GroupRingElement(_IntCombination):
@@ -126,10 +126,13 @@ class Weights:
     entries: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        entries = tuple((g, w) for g, w in self.entries)
+        for g, _ in entries:
+            if not is_generator_name(g):
+                raise ValueError(f"invalid generator name {g!r}")
         if not all(_is_integer(w) for _, w in entries):
             raise TypeError("weights must be integers")
-        object.__setattr__(self, "entries", tuple((str(g), int(w)) for g, w in entries))
+        object.__setattr__(self, "entries", entries)
         names = [g for g, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator in weights")

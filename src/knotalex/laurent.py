@@ -170,14 +170,16 @@ class LaurentPoly(_IntCombination):
 
     def evaluate(self, x) -> int | Fraction:
         """Exact value at an integer or Fraction point."""
+        from fractions import Fraction
+
+        if not (_is_integer(x) or isinstance(x, Fraction)):
+            raise TypeError(f"point must be an int or Fraction, got {type(x).__name__}")
         if not self._coeffs:
             return 0
         if x == 0:
             if self.min_degree < 0:
                 raise ZeroDivisionError("negative exponents cannot be evaluated at 0")
             return self._coeffs.get(0, 0)
-        from fractions import Fraction
-
         total = Fraction(0)
         for exp, coeff in self._coeffs.items():
             total += coeff * Fraction(x) ** exp
@@ -383,7 +385,11 @@ def to_json_dict(p: LaurentPoly) -> dict:
 
 
 def from_json_dict(data: Mapping) -> LaurentPoly:
-    """Inverse of ``to_json_dict``: an int min_degree and canonical decimal strings."""
+    """Inverse of ``to_json_dict``, which gives each polynomial one JSON shape.
+
+    ``min_degree`` is an int and ``coeffs`` canonical decimal strings with
+    nonzero ends; the zero polynomial is ``{"min_degree": 0, "coeffs": []}``.
+    """
     low, coeffs = data["min_degree"], data["coeffs"]
     if not _is_integer(low):
         raise TypeError(f"min_degree must be an integer, got {type(low).__name__}")
@@ -393,4 +399,8 @@ def from_json_dict(data: Mapping) -> LaurentPoly:
     for text, value in zip(coeffs, values.values()):
         if _int_to_decimal(value) != text:
             raise ValueError(f"coefficient {text!r} is not canonical decimal text")
+    if coeffs and "0" in (coeffs[0], coeffs[-1]):
+        raise ValueError("the first and last coefficients must be nonzero")
+    if not coeffs and low != 0:
+        raise ValueError("the zero polynomial has min_degree 0")
     return LaurentPoly(values)

@@ -45,8 +45,8 @@ _TOKEN_RE = re.compile(
 
 
 def is_generator_name(text: str) -> bool:
-    """True if ``text`` is a legal generator name."""
-    return bool(_NAME_RE.fullmatch(text))
+    """True if ``text`` is a ``str`` and a legal generator name."""
+    return isinstance(text, str) and bool(_NAME_RE.fullmatch(text))
 
 
 def _reduced(syllables: Iterable[tuple[str, int]]) -> tuple[tuple[str, int], ...]:

@@ -12,7 +12,6 @@ from knotalex.errors import (
     H1RankNotOne,
     NotAKnotPolynomial,
     NotDivisible,
-    ZeroWeightColumn,
 )
 from knotalex.foxcalc import Weights, _abelianized_row
 from knotalex.laurent import LaurentPoly, exact_div, normalize_knot_poly
@@ -137,22 +136,22 @@ def _weights_oracle(presentation: Presentation) -> Weights:
     return Weights(tuple(zip(gens, ints)))
 
 
-def _alexander_oracle(presentation: Presentation, via: str) -> LaurentPoly:
+def _alexander_oracle(
+    presentation: Presentation, column: str | None = None
+) -> LaurentPoly:
     """Reference Alexander polynomial: the value at t = 1 from det(E_j) / e_j.
 
     det(E_j) is the determinant of the exponent sums without column j, taken
     as constant Laurent polynomials; the weights come from ``_weights_oracle``.
+    ``column`` names the deleted generator, which must have nonzero weight;
+    by default it is the pipeline's, that of the smallest positive weight.
     """
     weights = _weights_oracle(presentation)
     gens = presentation.generators
-    if via == alexander.AUTO:
+    if column is None:
         removed = min((weights[g], i) for i, g in enumerate(gens) if weights[g] > 0)[1]
     else:
-        removed = gens.index(via)
-        if weights[via] == 0:
-            raise ZeroWeightColumn(
-                f"generator {via!r} has weight 0; its column cannot be removed"
-            )
+        removed = gens.index(column)
     weight = weights[gens[removed]]
     sums = [
         [

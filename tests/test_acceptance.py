@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 from knotalex.alexander import (
+    alexander_matrix,
     alexander_polynomial,
     closed_form_alexander,
     torus_knot_alexander,
@@ -32,7 +33,12 @@ from knotalex.foxcalc import (
     compute_weights,
     fox_derivative,
 )
-from knotalex.laurent import LaurentPoly, is_palindromic
+from knotalex.laurent import (
+    LaurentPoly,
+    exact_div,
+    is_palindromic,
+    normalize_knot_poly,
+)
 from knotalex.rootcert import (
     CertificateKind,
     certify_family_root,
@@ -186,13 +192,18 @@ def test_criterion_6_free_calculus_identities():
 
 def test_criterion_7_column_independence():
     """Removing either generator column yields the same normalized polynomial."""
+    cycle = lambda k: LaurentPoly({k: 1, 0: -1})  # noqa: E731 - t^k - 1
     with report(7, "column choice independence"):
         for n in range(1, 7):
             for m in range(1, 7):
                 presentation = knot_group_presentation(FamilyParams(n, m))
-                via_a = alexander_polynomial(presentation, via="a")
-                via_w = alexander_polynomial(presentation, via="w")
-                assert via_a == via_w, (n, m)
+                matrix = alexander_matrix(presentation)
+                delta = alexander_polynomial(presentation)
+                # deleting one column of the 1 x 2 matrix leaves the other entry
+                for gone, kept in (("a", "w"), ("w", "a")):
+                    numerator = matrix.entry(0, kept) * cycle(1)
+                    minor = exact_div(numerator, cycle(matrix.weights[gone]))
+                    assert normalize_knot_poly(minor) == delta, (n, m, gone)
 
 
 def test_criterion_8_surgery_classification():

@@ -24,7 +24,6 @@ from knotalex.errors import (
     KnotAlexError,
     NotAKnotPolynomial,
     NotCoprime,
-    ZeroWeightColumn,
 )
 from knotalex.family import FamilyParams, knot_group_presentation
 from knotalex.foxcalc import abelianize, compute_weights, fox_derivative
@@ -196,19 +195,16 @@ class TestPipeline:
         assert alexander_polynomial(k21) == T35
 
     def test_column_choice_is_irrelevant(self):
-        for n, m in [(1, 1), (2, 2), (4, 1), (3, 3)]:
-            p = knot_group_presentation(FamilyParams(n, m))
-            assert alexander_polynomial(p, via="a") == alexander_polynomial(p, via="w")
-
-    def test_explicit_via_unknown_generator(self):
-        with pytest.raises(ValueError):
-            alexander_polynomial(TREFOIL_PRESENTATION, via="z")
-
-    def test_zero_weight_column_rejected(self):
-        y = Word.generator("y")
-        p = Presentation(("x", "y"), (y**2,))
-        with pytest.raises(ZeroWeightColumn):
-            alexander_polynomial(p, via="y")
+        # with one relator, deleting either column leaves the other's 1x1 minor
+        cycle = lambda k: LaurentPoly({k: 1, 0: -1})  # noqa: E731 - t^k - 1
+        members = [FamilyParams(n, m) for n, m in [(1, 1), (2, 2), (4, 1), (3, 3)]]
+        for p in [TREFOIL_PRESENTATION, *map(knot_group_presentation, members)]:
+            matrix = alexander_matrix(p)
+            (row,) = matrix.rows
+            for removed, kept in ((0, 1), (1, 0)):
+                weight = matrix.weights[matrix.generators[removed]]
+                minor = normalize_knot_poly(exact_div(row[kept] * cycle(1), cycle(weight)))
+                assert minor == alexander_polynomial(p), (p, removed)
 
     def test_torsion_fails_with_value_at_one(self):
         # H1 = Z + Z/1000000: the exponent sums alone show it, before any Fox
@@ -221,9 +217,8 @@ class TestPipeline:
     def test_small_torsion_matches_polynomial_value(self):
         # H1 = Z + Z/3; the value keeps the sign the polynomial would have had
         p = parse_presentation("gens: x y\nrel: x^9 y^-6\n")
-        for via, value in (("x", -3), ("y", 3)):
-            with pytest.raises(NotAKnotPolynomial, match=f"^value at t = 1 is {value},"):
-                alexander_polynomial(p, via=via)
+        with pytest.raises(NotAKnotPolynomial, match="^value at t = 1 is -3,"):
+            alexander_polynomial(p)
 
     def test_unknot(self):
         assert alexander_polynomial(Presentation(("a",), ())) == LaurentPoly.one()
@@ -276,9 +271,14 @@ class TestOneEliminationMatchesOracle:
         assert _outcome(lambda: compute_weights(presentation)) == _outcome(
             lambda: _weights_oracle(presentation)
         )
-        for via in (alexander.AUTO, *presentation.generators):
-            result = _outcome(lambda: alexander_polynomial(presentation, via))
-            assert result == _outcome(lambda: _alexander_oracle(presentation, via)), via
+        expected = _outcome(lambda: _alexander_oracle(presentation))
+        assert _outcome(lambda: alexander_polynomial(presentation)) == expected
+        if expected[0] == "ok":
+            # every column of nonzero weight gives the same polynomial
+            weights = compute_weights(presentation)
+            for gen in presentation.generators:
+                if weights[gen]:
+                    assert _alexander_oracle(presentation, gen) == expected[1], gen
 
 
 def _closed_form_oracle(n: int, m: int) -> LaurentPoly:

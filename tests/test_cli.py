@@ -73,12 +73,16 @@ class TestAlexander:
         assert code == 0
         assert out == "1 - t + t^2\n"
 
-    def test_column_choice_is_irrelevant(self, capsys, tmp_path):
+    def test_no_column_option(self, capsys, tmp_path):
+        # every column of nonzero weight gives the same polynomial
         source = tmp_path / "trefoil.txt"
         source.write_text(TREFOIL_TEXT)
-        _, out_x, _ = run(capsys, ["alexander", "--file", str(source), "--via", "x"])
-        _, out_y, _ = run(capsys, ["alexander", "--file", str(source), "--via", "y"])
-        assert out_x == out_y == "1 - t + t^2\n"
+        with pytest.raises(SystemExit) as info:
+            main(["alexander", "--file", str(source), "--via", "x"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: --via x" in captured.err
 
     def test_json(self, capsys, tmp_path):
         source = tmp_path / "trefoil.txt"
@@ -163,6 +167,17 @@ class TestFamily:
         code, _, err = run(capsys, ["family", "--n", "0", "--m", "1", "--emit", "longitude"])
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("emit", ["presentation", "longitude"])
+    def test_json_only_with_alexander(self, capsys, emit):
+        with pytest.raises(SystemExit) as info:
+            main(["family", "--n", "1", "--m", "1", "--emit", emit, "--json"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "knotalex family: error: --json applies only to --emit alexander\n"
+        )
 
 
 class TestCertify:

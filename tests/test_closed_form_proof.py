@@ -34,8 +34,17 @@ The braid check ties the closed form to the knot's definition rather than to
 the package's presentation.  The member (n, m) is the closure of the 3-braid
 (s1 s2)^(3m+2) s1^(2(n-2)), and for a 3-braid beta the reduced Burau matrix
 psi(beta) gives (1 + t + t^2) Delta(t) = det(I - psi(beta)) up to a unit
-(Burau 1936; Birman, Braids, Links and Mapping Class Groups, 1974).  That is
-checked numerically on a grid, not symbolically.
+(Burau 1936; Birman, Braids, Links and Mapping Class Groups, 1974).  It is
+checked on a grid, and symbolically for every (n, m) with the same triples,
+now for U = t^(3m) and V = t^(2(n-2)): psi((s1 s2)^3) = t^3 I, so the
+(3m)-th power is U I; (1 + t) psi(s1)^(2(n-2)) = [[(1 + t) V, 1 - V],
+[0, 1 + t]] for every n >= 1, by induction on the twists; and then
+
+    (1 + t)^2 det(I - psi(beta))
+        = (1 + t)(1 + t + t^2 U + t^3 U V + t^4 U^2 V + t^5 U^2 V)
+
+exactly, with no unit.  In the Fox variables the bracket is the six-term
+numerator N, so det(I - psi(beta)) = N / (1 + t) = (1 + t + t^2) Delta.
 """
 
 import pytest
@@ -249,3 +258,72 @@ def test_n_one_is_a_torus_knot():
     # (s1 s2)^(3m+2) s1^-2 closes to the torus knot T(3, 3m + 1)
     for m in range(1, 40):
         assert closed_form_alexander(1, m) == torus_knot_alexander(3, 3 * m + 1), m
+
+
+#: (1 + t) psi(s1)^(2(n-2)) with V = t^(2(n-2)), as exponent triples.
+TWIST = (
+    ({(0, 0, 1): 1, (1, 0, 1): 1}, {(0, 0, 0): 1, (0, 0, 1): -1}),
+    ({}, {(0, 0, 0): 1, (1, 0, 0): 1}),
+)
+#: The six-term bracket of the Burau identity, with U = t^(3m), V = t^(2(n-2)).
+BURAU_NUMERATOR = dict.fromkeys(
+    [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 1), (4, 2, 1), (5, 2, 1)], 1
+)
+ONE_PLUS_T = {(0, 0, 0): 1, (1, 0, 0): 1}
+
+
+def _lift_matrix(x):
+    return tuple(tuple(_lift(entry) for entry in row) for row in x)
+
+
+def _symbolic_matmul(x, y):
+    return tuple(
+        tuple(_add(_mul(x[i][0], y[0][j]), _mul(x[i][1], y[1][j])) for j in range(2))
+        for i in range(2)
+    )
+
+
+def _shift_v(x, step):
+    """Substitute V -> t^step V in every entry."""
+    return tuple(
+        tuple({(i + step * k, j, k): c for (i, j, k), c in entry.items()} for entry in row)
+        for row in x
+    )
+
+
+def test_burau_full_twist_is_central():
+    # psi((s1 s2)^3) = t^3 I, so psi((s1 s2)^(3m)) = U I with U = t^(3m)
+    cube = t**3
+    assert _matpow(_matmul(SIGMA1, SIGMA2), 3) == ((cube, ZERO), (ZERO, cube))
+
+
+def test_burau_twist_by_induction():
+    # n = 2: s1^0 = I is TWIST at V = 1, over 1 + t
+    assert tuple(tuple(_at(e, 0, 0) for e in row) for row in TWIST) == (
+        (1 + t, ZERO),
+        (ZERO, 1 + t),
+    )
+    # one more or one fewer full twist sends V to t^2 V or t^-2 V, so TWIST is
+    # (1 + t) psi(s1)^(2(n-2)) for every n >= 1, exponent -2 at n = 1 included
+    for generator, step in ((SIGMA1, 2), (SIGMA1_INVERSE, -2)):
+        square = _lift_matrix(_matmul(generator, generator))
+        assert _symbolic_matmul(TWIST, square) == _shift_v(TWIST, step)
+
+
+def test_burau_identity_holds_in_three_variables():
+    # psi(beta) = U psi(s1 s2)^2 psi(s1)^(2(n-2)), so (1 + t)(I - psi(beta)) is
+    # (1 + t) I - U psi(s1 s2)^2 TWIST and its determinant is
+    # (1 + t)^2 det(I - psi(beta)), with no unit
+    rest = _symbolic_matmul(_lift_matrix(_matpow(_matmul(SIGMA1, SIGMA2), 2)), TWIST)
+    (a, b), (c, d) = [[_mul({(0, 1, 0): -1}, entry) for entry in row] for row in rest]
+    a, d = _add(ONE_PLUS_T, a), _add(ONE_PLUS_T, d)
+    det = _add(_mul(a, d), _mul({(0, 0, 0): -1}, _mul(b, c)))
+    assert det == _mul(ONE_PLUS_T, BURAU_NUMERATOR)
+
+
+def test_burau_numerator_is_the_fox_numerator():
+    # t^i U^j V^k with U = t^(3m), V = t^(2(n-2)) is t^(i-4k) U^(2k) V^(3j) in
+    # the Fox variables U = t^n, V = t^m.  So det(I - psi(beta)) is
+    # N / (1 + t) = (1 + t + t^2) Delta exactly, for every (n, m).
+    fox = {(i - 4 * k, 2 * k, 3 * j): c for (i, j, k), c in BURAU_NUMERATOR.items()}
+    assert fox == NUMERATOR

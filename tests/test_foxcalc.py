@@ -165,6 +165,11 @@ class TestWeights:
             Weights((("a", 0),))  # all zero
         with pytest.raises(ValueError):
             Weights((("a", 1), ("a", 2)))  # duplicate name
+        # names follow the generator-name rule, and are not coerced with str
+        with pytest.raises(ValueError, match="^invalid generator name None$"):
+            Weights(((None, 1), ("x", 2)))
+        with pytest.raises(ValueError, match="^invalid generator name 'a b'$"):
+            Weights((("a b", 1),))
 
     @pytest.mark.parametrize("weight", [1.5, "2", True], ids=["float", "str", "bool"])
     def test_weights_must_be_integers(self, weight):

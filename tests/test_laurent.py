@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
@@ -75,6 +76,11 @@ class TestArithmetic:
         assert T34.evaluate(1) == 1
         assert T34.evaluate(-1) == 3  # determinant of the (3,4) torus knot
         assert LaurentPoly({-2: 3}).evaluate(2) == pytest.approx(0.75)
+        assert LaurentPoly({-2: 3}).evaluate(Fraction(1, 2)) == 12
+        # neither parsed, nor taken as 1, nor evaluated in floating point
+        for point in ("2", True, 0.5):
+            with pytest.raises(TypeError, match="^point must be an int or Fraction, got "):
+                (t + 1).evaluate(point)
 
     @given(p=laurent_polys(), q=laurent_polys(), r=laurent_polys())
     def test_ring_laws(self, p, q, r):
@@ -261,6 +267,21 @@ class TestFormatting:
     def test_from_json_reads_only_canonical_decimals(self, text):
         with pytest.raises(ValueError, match="is not canonical decimal text$"):
             from_json_dict({"min_degree": 0, "coeffs": ["1", text]})
+
+    @pytest.mark.parametrize(
+        "min_degree, coeffs, message",
+        [
+            (0, ["1", "0"], "the first and last coefficients must be nonzero"),
+            (0, ["0", "1"], "the first and last coefficients must be nonzero"),
+            (0, ["0"], "the first and last coefficients must be nonzero"),
+            (5, [], "the zero polynomial has min_degree 0"),
+        ],
+        ids=["trailing-zero", "leading-zero", "zero-coefficient", "shifted-zero"],
+    )
+    def test_from_json_reads_only_trimmed_coefficients(self, min_degree, coeffs, message):
+        # one polynomial, one JSON text: what to_json_dict writes
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_json_dict({"min_degree": min_degree, "coeffs": coeffs})
 
     def test_json_shape_and_decimal_strings(self):
         data = to_json_dict(LaurentPoly({-1: 10**40, 1: -2}))

@@ -130,7 +130,7 @@ class TestGroupOps:
         with pytest.raises(TypeError, match=message):
             Word.generator("a", exponent)
 
-    @pytest.mark.parametrize("name", ["a b", "", "1a", "a^2"])
+    @pytest.mark.parametrize("name", ["a b", "", "1a", "a^2", None, 1])
     def test_generator_rejects_invalid_names(self, name):
         message = re.escape(f"invalid generator name {name!r}")
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -221,6 +221,8 @@ class TestPresentation:
     def test_invalid_name(self):
         with pytest.raises(PresentationError):
             Presentation(("1a", "w"), (W,))
+        with pytest.raises(PresentationError, match="^invalid generator name None$"):
+            Presentation(("w", None), (W,))
 
     def test_meridian_must_be_declared(self):
         with pytest.raises(PresentationError):
