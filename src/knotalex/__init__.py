@@ -36,7 +36,6 @@ _HOMES = {
     "abelianize": "foxcalc",
     "compute_weights": "foxcalc",
     "fox_derivative": "foxcalc",
-    "geometric_series": "foxcalc",
     "LaurentPoly": "laurent",
     "centered_cosine_form": "laurent",
     "centered_cosine_value": "laurent",

@@ -36,7 +36,7 @@ def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _poly_output(poly: LaurentPoly, as_json: bool) -> None:
+def _poly_output(poly, as_json: bool) -> None:
     from .laurent import format_poly, to_json_dict
 
     if as_json:

@@ -29,7 +29,8 @@ family: rational surgery with slope p/q >= 2n + 6m - 3 (which equals
 2*genus - 1) yields a 3-manifold whose fundamental group is not
 left-orderable.  Below the threshold nothing is concluded here; slopes
 sufficiently close to zero are known to give left-orderable groups, and the
-classification record carries a flag recalling that fact.
+classification record's ``near_zero_note``, derived from its verdict, recalls
+that fact.
 
 The slope test and the closed form's coefficients need no other module of
 the package: words and polynomials are imported by the functions that build
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterator
 from itertools import chain, compress, count, cycle, islice
 
 from ._record import record
@@ -182,12 +184,6 @@ class SurgerySlope:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
-    @property
-    def value(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.p, self.q)
-
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
 
@@ -203,10 +199,15 @@ class SurgeryClassification:
 
     verdict: Verdict
     slope_bound: int
-    #: Slopes close enough to 0 are known to give left-orderable groups;
-    #: set whenever the verdict is NoConclusion, as a reminder that the
-    #: inconclusive region is genuinely mixed.
-    near_zero_note: bool
+
+    @property
+    def near_zero_note(self) -> bool:
+        """Slopes close enough to 0 are known to give left-orderable groups.
+
+        True exactly when the verdict is NoConclusion, as a reminder that the
+        inconclusive region is genuinely mixed.
+        """
+        return self.verdict is Verdict.NO_CONCLUSION
 
 
 def classify_surgery(params: FamilyParams, slope: SurgerySlope) -> SurgeryClassification:
@@ -216,5 +217,5 @@ def classify_surgery(params: FamilyParams, slope: SurgerySlope) -> SurgeryClassi
     """
     bound = slope_bound(params)
     if slope.p >= bound * slope.q:
-        return SurgeryClassification(Verdict.NOT_LEFT_ORDERABLE, bound, False)
-    return SurgeryClassification(Verdict.NO_CONCLUSION, bound, True)
+        return SurgeryClassification(Verdict.NOT_LEFT_ORDERABLE, bound)
+    return SurgeryClassification(Verdict.NO_CONCLUSION, bound)

@@ -3,9 +3,9 @@
 A group-ring element is a finite integer combination of Words: the
 integer-combination core of ``laurent`` with Words as keys.  Only the key
 check, the unit (the empty word), the product (concatenation, so ``*`` does
-not commute) and the printing are defined here.  ``fox_derivative``,
-``geometric_series`` and ``abelianize`` hand (key, coefficient) pairs to the
-checked constructors, which add up repeated keys.
+not commute) and the printing are defined here.  ``fox_derivative`` and
+``abelianize`` hand (key, coefficient) pairs to the checked constructors,
+which add up repeated keys.
 
 The free derivative d/dg is determined by d(g)/dg = 1, d(h)/dg = 0 for
 h != g, and the product rule d(uv)/dg = du/dg + u * dv/dg; it follows that
@@ -84,14 +84,6 @@ class GroupRingElement(_IntCombination):
             f"{coeff}*[{word.render() or '1'}]" for word, coeff in self.terms()
         )
         return f"GroupRingElement({body})"
-
-
-def geometric_series(base: Word, count: int) -> GroupRingElement:
-    """Truncated geometric series 1 + base + ... + base^count in the group ring."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    powers = accumulate(repeat(base, count), mul, initial=Word.identity())
-    return GroupRingElement(zip(powers, repeat(1)))
 
 
 def fox_derivative(word: Word, gen: str) -> GroupRingElement:

@@ -389,7 +389,15 @@ def from_json_dict(data: Mapping) -> LaurentPoly:
 
     ``min_degree`` is an int and ``coeffs`` canonical decimal strings with
     nonzero ends; the zero polynomial is ``{"min_degree": 0, "coeffs": []}``.
+    No other key is read.
     """
+    written = ("min_degree", "coeffs")
+    missing = [key for key in written if key not in data]
+    extra = [key for key in data if key not in written]
+    if missing or extra:
+        raise ValueError(
+            f"keys must be min_degree and coeffs: missing {missing}, extra {extra}"
+        )
     low, coeffs = data["min_degree"], data["coeffs"]
     if not _is_integer(low):
         raise TypeError(f"min_degree must be an integer, got {type(low).__name__}")

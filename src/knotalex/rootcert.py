@@ -23,10 +23,12 @@ left end and negative at the right, each beyond an explicit margin.
 
 ``find_simple_roots`` is the generic companion: it scans any palindromic
 even-span polynomial for sign changes of its centered cosine form on
-(0, pi).  The certificate and the scan locate roots by the same bisection,
-down to a fixed width of 1e-12 relative to the bracket's upper end, and a
-certificate's residual must be below the fixed bound 1e-8.  The scan's
-"simple" flag is a numerical judgment (a derivative threshold), not a proof.
+(0, pi), on a fixed grid of 8 points per unit of span; it takes the
+polynomial alone.  The certificate and the scan locate roots by the same
+bisection, down to a fixed width of 1e-12 relative to the bracket's upper
+end, and a certificate's residual must be below the fixed bound 1e-8.  The
+scan's "simple" flag is a numerical judgment (a derivative threshold), not a
+proof.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import partial
 from itertools import count
 
 from ._record import record
-from .errors import CertificationFailed, ResidualTooLarge, _is_integer
+from .errors import CertificationFailed, ResidualTooLarge
 from .family import FamilyParams, _closed_form_coefficients
 from .laurent import (
     LaurentPoly,
@@ -256,30 +258,22 @@ def _cosine_derivative(coeffs: list[int], theta: float) -> float:
     )
 
 
-def find_simple_roots(
-    p: LaurentPoly, grid_factor: int = DEFAULT_GRID_FACTOR
-) -> list[CircleRoot]:
+def find_simple_roots(p: LaurentPoly) -> list[CircleRoot]:
     """Scan a palindromic even-span polynomial for unit-circle roots in (0, pi).
 
     The centered cosine form is sampled on a uniform grid of
-    grid_factor * span interior points plus the ends 0 and pi; each sign
-    change between neighbouring samples, the two end cells included, is
+    DEFAULT_GRID_FACTOR * span interior points plus the ends 0 and pi; each
+    sign change between neighbouring samples, the two end cells included, is
     bisected.  A zero exactly at 0 or pi lies outside the open interval and is
     not reported.  Roots are reported with odd multiplicity (that is what a
     sign change shows); the ``simple`` flag additionally requires the
     analytic derivative at the bisected point to exceed 1e-6 * max|c| * span.
     """
-    if not _is_integer(grid_factor):
-        raise TypeError(
-            f"grid_factor must be an integer, got {type(grid_factor).__name__}"
-        )
-    if grid_factor < 1:
-        raise ValueError("grid_factor must be at least 1")
     coeffs = centered_cosine_form(p)
     spread = 2 * (len(coeffs) - 1)
     if spread == 0:
         return []
-    interior = grid_factor * spread
+    interior = DEFAULT_GRID_FACTOR * spread
     step = math.pi / (interior + 1)
     thetas = [0.0, *(j * step for j in range(1, interior + 1)), math.pi]
     values = [centered_cosine_value(coeffs, theta) for theta in thetas]

@@ -108,9 +108,6 @@ class Word:
     def inverse(self) -> Word:
         return Word(tuple((gen, -exp) for gen, exp in reversed(self._syllables)))
 
-    def __invert__(self) -> Word:
-        return self.inverse()
-
     def __pow__(self, k: int) -> Word:
         if not _is_integer(k):
             return NotImplemented

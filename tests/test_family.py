@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from knotalex.family import (
     FamilyParams,
+    SurgeryClassification,
     SurgerySlope,
     Verdict,
     classify_surgery,
@@ -132,7 +133,6 @@ class TestSurgerySlope:
         assert SurgerySlope(-6, -4) == SurgerySlope(3, 2)
         assert SurgerySlope(0, 5) == SurgerySlope(0, 1)
         assert str(SurgerySlope(7)) == "7/1"
-        assert SurgerySlope(5, 2).value == Fraction(5, 2)
 
     def test_zero_denominator(self):
         with pytest.raises(ValueError):
@@ -160,6 +160,12 @@ class TestClassify:
         assert out.slope_bound == 5
         assert out.near_zero_note is True
 
+    def test_note_is_derived_from_the_verdict(self):
+        # a record whose note contradicts its verdict cannot be built
+        with pytest.raises(TypeError):
+            SurgeryClassification(Verdict.NOT_LEFT_ORDERABLE, 9, True)
+        assert SurgeryClassification(Verdict.NO_CONCLUSION, 9).near_zero_note is True
+
     def test_boundary_is_inclusive(self):
         out = classify_surgery(FamilyParams(1, 1), SurgerySlope(5))
         assert out.verdict is Verdict.NOT_LEFT_ORDERABLE
@@ -183,7 +189,7 @@ class TestClassify:
             p1, q1 = rng.randint(-40, 40), rng.randint(1, 12)
             p2, q2 = rng.randint(-40, 40), rng.randint(1, 12)
             s1, s2 = SurgerySlope(p1, q1), SurgerySlope(p2, q2)
-            if s1.value > s2.value:
+            if Fraction(p1, q1) > Fraction(p2, q2):
                 s1, s2 = s2, s1
             v1 = classify_surgery(params, s1).verdict
             v2 = classify_surgery(params, s2).verdict

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -258,6 +259,24 @@ class TestFormatting:
     def test_from_json_takes_only_the_written_shape(self, min_degree, coeffs, message):
         data = {"min_degree": min_degree, "coeffs": coeffs}
         with pytest.raises(TypeError, match=f"^{message}$"):
+            from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (
+                {"min_degree": 0, "coeffs": ["1"], "extra": 5},
+                "missing [], extra ['extra']",
+            ),
+            ({"coeffs": ["1"]}, "missing ['min_degree'], extra []"),
+            ({"min_degree": 0}, "missing ['coeffs'], extra []"),
+        ],
+        ids=["extra-key", "no-min-degree", "no-coeffs"],
+    )
+    def test_from_json_takes_only_the_written_keys(self, data, message):
+        # one polynomial, one JSON text: no key is ignored or defaulted
+        expected = f"keys must be min_degree and coeffs: {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
             from_json_dict(data)
 
     @pytest.mark.parametrize(

@@ -1,15 +1,18 @@
 """The lazily loaded package surface and the frozen record classes."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+import typing
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
 import knotalex
-from knotalex import alexander, family
+from knotalex import alexander, cli, family
 from knotalex._record import record
 from knotalex.family import FamilyParams, SurgeryClassification, SurgerySlope, Verdict
 from knotalex.words import Presentation, parse_presentation
@@ -19,6 +22,24 @@ from knotalex.words import Presentation, parse_presentation
 class Point:
     x: int
     y: int = 0
+
+
+def _public_signatures():
+    """Signatures of the public functions and of the package's own methods."""
+    for name in knotalex.__all__:
+        value = getattr(knotalex, name)
+        if not inspect.isclass(value):
+            if callable(value):
+                yield inspect.signature(value)
+            continue
+        for cls in value.__mro__:
+            if not cls.__module__.startswith("knotalex."):
+                continue
+            for member in vars(cls).values():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    yield inspect.signature(member)
 
 
 class TestLazySurface:
@@ -48,6 +69,35 @@ class TestLazySurface:
         with pytest.raises(AttributeError, match="no attribute 'nope'"):
             knotalex.nope
 
+    def test_every_default_is_data(self):
+        # no public callable takes a setting: each default is a value of its
+        # data (an empty word, a unit coefficient, an integer slope, ...)
+        data_defaults = {
+            ("coeffs", ()),
+            ("syllables", ()),
+            ("coeff", 1),
+            ("exponent", 1),
+            ("q", 1),
+            ("meridian", None),
+        }
+        found = set()
+        for signature in _public_signatures():
+            for param in signature.parameters.values():
+                if param.default is not param.empty:
+                    found.add((param.name, param.default))
+        assert found == data_defaults
+
+    def test_annotations_name_what_they_import(self):
+        assert typing.get_type_hints(cli._poly_output) == {
+            "as_json": bool,
+            "return": type(None),
+        }
+        assert typing.get_type_hints(family._closed_form_coefficients) == {
+            "n": int,
+            "m": int,
+            "return": Iterator[int],
+        }
+
     def test_import_loads_no_submodule(self):
         code = "\n".join(
             [
@@ -74,9 +124,9 @@ class TestRecords:
             "Presentation(generators=('x', 'y'), "
             "relators=(Word('x y x y^-1 x^-1 y^-1'),), meridian=None)"
         )
-        assert repr(SurgeryClassification(Verdict.NO_CONCLUSION, 5, True)) == (
+        assert repr(SurgeryClassification(Verdict.NO_CONCLUSION, 5)) == (
             "SurgeryClassification(verdict=<Verdict.NO_CONCLUSION: 'NoConclusion'>, "
-            "slope_bound=5, near_zero_note=True)"
+            "slope_bound=5)"
         )
 
     def test_equality_and_hash(self):

@@ -292,45 +292,49 @@ class TestFindSimpleRoots:
             assert abs(inside[0].theta_star - cert.theta_star) < 1e-9, (n, m)
             assert inside[0].simple, (n, m)
 
-    def test_root_on_first_grid_point(self):
+    def test_root_on_first_grid_point(self, monkeypatch):
         # at grid factor 1 the first grid point is pi/5, a root of T(2, 5);
         # its outer neighbour is theta = 0, where the form is +1
-        roots = find_simple_roots(torus_knot_alexander(2, 5), grid_factor=1)
+        monkeypatch.setattr(rootcert, "DEFAULT_GRID_FACTOR", 1)
+        roots = find_simple_roots(torus_knot_alexander(2, 5))
         assert roots[0].theta_lo == 0.0
         assert roots[0].theta_star == math.pi / 5
         assert roots[0].odd_multiplicity and roots[0].simple
 
-    def test_roots_in_end_cells(self):
+    def test_roots_in_end_cells(self, monkeypatch):
         # at grid factor 1 the grid is k*pi/5; the form is -2.2e-16 at the
         # last grid point 4*pi/5 and +1 at pi, so that root's sign change
         # shows only in the end cell
+        monkeypatch.setattr(rootcert, "DEFAULT_GRID_FACTOR", 1)
         cyclotomic = LaurentPoly({k: 1 for k in range(5)})
-        roots = find_simple_roots(cyclotomic, grid_factor=1)
+        roots = find_simple_roots(cyclotomic)
         assert [r.theta_star for r in roots] == pytest.approx(
             [2 * math.pi / 5, 4 * math.pi / 5], abs=1e-10
         )
         assert roots[-1].theta_hi == math.pi
         assert all(r.odd_multiplicity and r.simple for r in roots)
 
-    @pytest.mark.parametrize("grid_factor", [2, 3, 8])
-    def test_torus_knots_report_every_root(self, grid_factor):
+    def test_torus_knots_report_every_root(self):
         # T(p, q) has (p-1)(q-1)/2 simple roots in the open upper half circle
         for p in range(2, 8):
             for q in range(p + 1, 60 // p + 1):
                 if math.gcd(p, q) != 1:
                     continue
-                roots = find_simple_roots(torus_knot_alexander(p, q), grid_factor)
+                roots = find_simple_roots(torus_knot_alexander(p, q))
                 assert len(roots) == (p - 1) * (q - 1) // 2, (p, q)
                 assert all(r.odd_multiplicity and r.simple for r in roots), (p, q)
 
     def test_scan_bisects_to_relative_width(self):
         # T(2, 301) = (t^301 + 1)/(t + 1) has its roots at pi(2j + 1)/301;
         # the first is 0.0104, so only a relative width reaches 1e-12 there
-        roots = find_simple_roots(torus_knot_alexander(2, 301), grid_factor=2)
+        roots = find_simple_roots(torus_knot_alexander(2, 301))
         assert len(roots) == 150
         for j, root in enumerate(roots):
             want = math.pi * (2 * j + 1) / 301
             assert abs(root.theta_star - want) < 1e-12 * want, j
+
+    def test_takes_the_polynomial_alone(self):
+        assert list(inspect.signature(find_simple_roots).parameters) == ["p"]
 
     def test_constant_polynomial_has_no_roots(self):
         assert find_simple_roots(LaurentPoly.one()) == []
@@ -342,17 +346,6 @@ class TestFindSimpleRoots:
     def test_odd_span(self):
         with pytest.raises(OddSpan):
             find_simple_roots(LaurentPoly({0: 1, 1: 1}))
-
-    def test_grid_factor_validation(self):
-        with pytest.raises(ValueError):
-            find_simple_roots(LaurentPoly.one(), grid_factor=0)
-
-    @pytest.mark.parametrize("grid_factor", [1.5, "2", True], ids=["float", "str", "bool"])
-    def test_grid_factor_must_be_an_integer(self, grid_factor):
-        # rejected up front, not deep inside range() or a str/int comparison
-        message = f"^grid_factor must be an integer, got {type(grid_factor).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            find_simple_roots(torus_knot_alexander(2, 3), grid_factor=grid_factor)
 
 
 def test_package_import_leaves_numpy_out():
