@@ -17,12 +17,11 @@ quotient of 1 + t + t^(3m+2) + t^(2n+3m-1) + t^(2n+6m) + t^(2n+6m+1) by
 the quotient is the six-term numerator times that cubic (at most 24 step
 terms), divided by 1 - t^6.  The division keeps one running level per residue
 class of exponents mod 6, so between two consecutive step exponents the
-coefficients repeat with period 6: they are streamed as those runs, never
-stored as one dense list.  The division is exact exactly when every level is
-back to zero after the last step.  The stream is already the normalized
-representative (constant term 1, coefficients summing to 1), so the
-certificate residual in ``rootcert`` sums it directly, without building the
-polynomial.
+coefficients repeat with period 6: they are kept as those runs, never as one
+dense list.  The division is exact exactly when every level is back to zero
+after the last step.  The runs are already the normalized representative
+(constant term 1, coefficients summing to 1), so the certificate residual in
+``rootcert`` sums their nonzero terms without building the polynomial.
 
 ``classify_surgery`` applies the non-left-orderability threshold for this
 family: rational surgery with slope p/q >= 2n + 6m - 3 (which equals
@@ -41,8 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator
-from itertools import chain, compress, count, cycle, islice
+from itertools import compress, cycle
 
 from ._record import record
 from .errors import NotDivisible, _is_integer
@@ -62,12 +60,11 @@ class FamilyParams:
             raise ValueError("the family requires n >= 1 and m >= 1")
 
 
-def _closed_form_coefficients(n: int, m: int) -> Iterator[int]:
-    """Stream of the (n, m) closed form's coefficients, degrees 0..2n + 6m - 2.
+def _closed_form_runs(n: int, m: int) -> list[tuple[int, int, list[int]]]:
+    """The (n, m) closed form as at most 24 runs, degrees 0..2n + 6m - 2 in order.
 
-    The stream is already the normalized representative: its constant term
-    is 1 and its entries sum to 1.  The input check and the divisibility
-    check run at call time, before anything is yielded.
+    A run (start, stop, period) gives each degree d in [start, stop) the
+    coefficient period[(d - start) % 6].
     """
     if not (_is_integer(n) and _is_integer(m)) or n < 1 or m < 1:
         raise ValueError("closed form requires integers n >= 1 and m >= 1")
@@ -75,43 +72,48 @@ def _closed_form_coefficients(n: int, m: int) -> Iterator[int]:
     end = top - 2  # one past the span 2n + 6m - 2
     # The numerator times 1 - 2t + 2t^2 - t^3, as steps sorted by exponent.
     # Exponent collisions, were they ever to occur, must accumulate: equal
-    # exponents are consecutive steps with nothing streamed between them.
+    # exponents are consecutive steps with no run between them.
     steps = []
     for exp in (0, 1, 3 * m + 2, 2 * n + 3 * m - 1, 2 * n + 6 * m, top):
         steps += (exp, 1), (exp + 1, -2), (exp + 2, 2), (exp + 3, -1)
     steps.sort()
     # Divide by 1 - t^6: up to each step, degree d has the running level of
     # its residue d mod 6, so the coefficients since the last step are those
-    # six levels, cycled from the phase where that step sits.  Most runs are
+    # six levels, rotated to the phase where that step sits.  Most runs are
     # one coefficient long, between the four steps of a numerator term.
     levels, runs, done = [0] * 6, [], 0
     for exp, coeff in steps:
         stop = min(exp, end)
         if done < stop:
-            phase = done % 6
-            if stop - done == 1:
-                runs.append((levels[phase],))
-            else:
-                period = levels[phase:] + levels[:phase]
-                runs.append(islice(cycle(period), stop - done))
+            runs.append((done, stop, levels[done % 6 :] + levels[: done % 6]))
             done = stop
         levels[exp % 6] += coeff
     if any(levels):
         raise NotDivisible("remainder is nonzero")
-    return chain.from_iterable(runs)
+    return runs
 
 
-def closed_form_alexander(n: int, m: int) -> LaurentPoly:
-    """Closed-form Alexander polynomial of the (n, m) twisted torus knot."""
+def _nonzero_terms(runs: list):
+    """Per run: the exponents of its nonzero terms, and its nonzero levels to cycle."""
+    for start, stop, period in runs:
+        exps = range(start, stop)
+        if not all(period):
+            exps = compress(exps, cycle(period))
+        yield exps, [level for level in period if level]
+
+
+def closed_form_alexander(n: int, m: int):
+    """Closed-form Alexander polynomial (a ``LaurentPoly``) of the (n, m) member."""
     from .laurent import LaurentPoly, normalize_knot_poly
 
-    dense = list(_closed_form_coefficients(n, m))
-    coeffs = dict(zip(compress(count(), dense), filter(None, dense)))
+    coeffs = {}
+    for exps, levels in _nonzero_terms(_closed_form_runs(n, m)):
+        coeffs.update(zip(exps, cycle(levels)))
     return normalize_knot_poly(LaurentPoly._trusted(coeffs))
 
 
-def knot_group_presentation(params: FamilyParams) -> Presentation:
-    """Two-generator, one-relator knot group presentation with meridian ``a``.
+def knot_group_presentation(params: FamilyParams):
+    """Two-generator, one-relator knot group ``Presentation`` with meridian ``a``.
 
     The single relator equates w^n (aw)^m a^-1 (aw)^-m with
     (wa)^-m a (wa)^m w^(n-1).
@@ -128,8 +130,8 @@ def knot_group_presentation(params: FamilyParams) -> Presentation:
     return Presentation(("a", "w"), (r1 * r2.inverse(),), meridian="a")
 
 
-def preferred_longitude(params: FamilyParams) -> Word:
-    """Null-homologous longitude commuting with the meridian.
+def preferred_longitude(params: FamilyParams):
+    """Null-homologous longitude ``Word`` commuting with the meridian.
 
     The meridian exponent -(4n + 9m - 2) exactly cancels the homology of the
     positive part; getting it wrong by any amount leaves a nonzero homology

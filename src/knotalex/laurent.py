@@ -168,8 +168,8 @@ class LaurentPoly(_IntCombination):
         """Coefficients in ascending exponent order."""
         return sorted(self._coeffs.items())
 
-    def evaluate(self, x) -> int | Fraction:
-        """Exact value at an integer or Fraction point."""
+    def evaluate(self, x):
+        """Exact value, an int or a ``Fraction``, at an int or Fraction point."""
         from fractions import Fraction
 
         if not (_is_integer(x) or isinstance(x, Fraction)):
@@ -283,26 +283,24 @@ def is_palindromic(p: LaurentPoly) -> bool:
     )
 
 
-def _unit_circle_sum(exps: Iterable[int], coeffs: Iterable[int], theta: float) -> complex:
-    """Sum of coeff * e^(i*theta*exp) over paired terms, left to right.
+def _unit_circle_sum(exps: Iterable, coeffs: Iterable, theta: float, start=0j) -> complex:
+    """start plus coeff * e^(i*theta*exp) over paired terms, left to right.
 
-    Each term is ``cmath.rect(coeff, theta*exp)``, which forms the same two
-    products coeff*cos and coeff*sin of the same angle as
-    coeff * cmath.exp(1j*theta*exp) and differs from it only in the signs of
-    zero parts.  Those cannot reach the sum: started at 0j, it never holds
-    -0.0.  So the value is bit for bit that of the product form.  ``exps``
-    may be longer than ``coeffs``.
+    Each term is ``cmath.rect(coeff, theta*exp)``: the products coeff*cos and
+    coeff*sin of coeff * cmath.exp(1j*theta*exp), up to the signs of zero
+    parts, which cannot reach a sum started at 0j (it never holds -0.0).  So
+    the value is bit for bit that of the product form, as is a sum split into
+    pieces, each started at the total so far.  The shorter iterable ends it.
     """
-    return sum(map(cmath.rect, coeffs, map(mul, repeat(theta), exps)), 0j)
+    return sum(map(cmath.rect, coeffs, map(mul, repeat(theta), exps)), start)
 
 
 def eval_unit_circle(p: LaurentPoly, theta: float) -> complex:
     """Value of p at e^(i*theta).
 
     The terms coeff * e^(i*theta*exp) are added left to right in ascending
-    exponent order; the last digits of the result depend on that order.  The
-    certificate residual in ``rootcert`` sums the closed form's coefficient
-    stream by the same route, so its digits are this function's.
+    exponent order, on which the last digits depend; the certificate residual
+    in ``rootcert`` adds the closed form's terms so, run by run, to the same digits.
     """
     exps = sorted(p._coeffs)
     return _unit_circle_sum(exps, map(p._coeffs.__getitem__, exps), theta)

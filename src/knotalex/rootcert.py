@@ -37,11 +37,11 @@ import enum
 import math
 import sys
 from functools import partial
-from itertools import count
+from itertools import cycle
 
 from ._record import record
 from .errors import CertificationFailed, ResidualTooLarge
-from .family import FamilyParams, _closed_form_coefficients
+from .family import FamilyParams, _closed_form_runs, _nonzero_terms
 from .laurent import (
     LaurentPoly,
     _unit_circle_sum,
@@ -210,16 +210,16 @@ def certify_family_root(params: FamilyParams) -> RootCertificate:
 def residual_at_certified_root(params: FamilyParams, certificate: RootCertificate) -> float:
     """|Delta(e^(i*theta_star))| for the closed form; must be < DEFAULT_RESIDUAL_BOUND.
 
-    The residual is still computed on the fully expanded polynomial, not from
-    g: it sums the coefficient stream that ``closed_form_alexander`` collects,
-    term by term in ascending exponent order, with the summation
-    ``eval_unit_circle`` uses, and builds no polynomial and no coefficient
-    list.  Zero coefficients are summed too; each adds a zero, which changes
-    neither a nonzero sum nor its modulus.  It checks the certificate against
-    Delta itself, independently of the circle function.
+    Computed on the expanded Delta, not from g, it checks the certificate
+    against Delta itself: it adds the nonzero terms of the closed form's runs
+    in ascending exponent order, by the route of ``eval_unit_circle``, whose
+    value it equals, yet builds no polynomial and no coefficient list.
     """
-    coeffs = _closed_form_coefficients(params.n, params.m)
-    residual = abs(_unit_circle_sum(count(), coeffs, certificate.theta_star))
+    total = 0j
+    for exps, levels in _nonzero_terms(_closed_form_runs(params.n, params.m)):
+        coeffs = cycle(map(float, levels))  # rect takes floats; one cast per level
+        total = _unit_circle_sum(exps, coeffs, certificate.theta_star, total)
+    residual = abs(total)
     if not residual < DEFAULT_RESIDUAL_BOUND:
         raise ResidualTooLarge(
             f"residual {residual} at theta_star {certificate.theta_star} "

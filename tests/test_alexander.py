@@ -1,6 +1,7 @@
 """Alexander polynomials: pipeline, closed form, torus knots, circle numerator."""
 
 import math
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -35,6 +36,16 @@ from knotalex.laurent import (
 )
 from knotalex.rootcert import circle_function
 from knotalex.words import Presentation, Word, parse_presentation, parse_word
+
+
+def _expand_runs(runs: list) -> list[int]:
+    """The closed form's runs as one dense list; checks that they tile 0..span."""
+    dense = []
+    for start, stop, period in runs:
+        assert start == len(dense) < stop and len(period) == 6
+        dense += islice(cycle(period), stop - start)
+    return dense
+
 
 TREFOIL_PRESENTATION = parse_presentation("gens: x y\nrel: x y x (y x y)^-1\n")
 TREFOIL = LaurentPoly({0: 1, 1: -1, 2: 1})
@@ -337,11 +348,11 @@ class TestClosedForm:
             assert p.evaluate(1) == 1
 
     def test_normalization_is_identity(self):
-        # the dense coefficients are already the normalized representative,
-        # so the residual may sum them without building the polynomial
+        # the runs are already the normalized representative, so the residual
+        # may sum their terms without building the polynomial
         members = [(n, m) for n in range(1, 41) for m in range(1, 41)]
         for n, m in [*members, (150000, 1), (100000, 10000)]:
-            dense = list(family._closed_form_coefficients(n, m))
+            dense = _expand_runs(family._closed_form_runs(n, m))
             assert len(dense) == 2 * n + 6 * m - 1
             assert closed_form_alexander(n, m) == LaurentPoly(dict(enumerate(dense)))
 
@@ -356,13 +367,17 @@ class TestClosedForm:
 
 
 class TestClosedFormStream:
-    """The coefficient stream against the dense six-running-sums oracle."""
+    """The closed form's runs against the dense six-running-sums oracle."""
 
     def test_matches_dense_oracle_on_grid(self):
         for n in range(1, 61):
             for m in range(1, 61):
-                stream = family._closed_form_coefficients(n, m)
-                assert list(stream) == _dense_closed_form_oracle(n, m), (n, m)
+                runs = family._closed_form_runs(n, m)
+                assert len(runs) <= 24, (n, m)
+                dense = _dense_closed_form_oracle(n, m)
+                assert _expand_runs(runs) == dense, (n, m)
+                poly = LaurentPoly(dict(enumerate(dense)))
+                assert closed_form_alexander(n, m) == poly, (n, m)
 
     @settings(deadline=None)
     @given(
@@ -371,19 +386,14 @@ class TestClosedFormStream:
     )
     @example(n=2, m=100000)
     def test_matches_dense_oracle(self, n, m):
-        stream = family._closed_form_coefficients(n, m)
-        assert list(stream) == _dense_closed_form_oracle(n, m)
-
-    def test_is_an_iterator(self):
-        stream = family._closed_form_coefficients(3, 2)
-        assert iter(stream) is stream
-        assert next(stream) == 1
+        runs = family._closed_form_runs(n, m)
+        assert _expand_runs(runs) == _dense_closed_form_oracle(n, m)
 
     def test_invalid_params_raise_at_call_time(self):
-        # no iteration: the checks run before anything is yielded
+        # the input check runs before any step or run is built
         for n, m in [(0, 1), (1, 0), (1.5, 1), (True, 1), (2, True)]:
             with pytest.raises(ValueError, match="closed form requires integers"):
-                family._closed_form_coefficients(n, m)
+                family._closed_form_runs(n, m)
 
 
 class TestTorusKnots:

@@ -342,9 +342,9 @@ class TestTable:
         )
 
     def test_builds_each_polynomial_once(self, capsys, monkeypatch):
-        # one dense coefficient list per member feeds both the span cell and
-        # the residual
-        original = family._closed_form_coefficients
+        # the residual takes one list of closed-form runs per member; the span
+        # cell is 2 * genus and needs none
+        original = family._closed_form_runs
         calls = []
 
         def counted(n, m):
@@ -354,9 +354,9 @@ class TestTable:
         for module in list(sys.modules.values()):
             name = getattr(module, "__name__", "")
             if name.startswith("knotalex") and (
-                getattr(module, "_closed_form_coefficients", None) is original
+                getattr(module, "_closed_form_runs", None) is original
             ):
-                monkeypatch.setattr(module, "_closed_form_coefficients", counted)
+                monkeypatch.setattr(module, "_closed_form_runs", counted)
         code, _, _ = run(capsys, ["table", "--n-max", "10", "--m-max", "10"])
         assert code == 0
         assert sorted(calls) == [(n, m) for n in range(1, 11) for m in range(1, 11)]
@@ -396,7 +396,7 @@ class TestTable:
     def test_failed_closed_form(self, capsys, monkeypatch):
         # the span cell is 2 * genus, so only the residual's cells fail
         self._failed_member(
-            capsys, monkeypatch, "_closed_form_coefficients",
+            capsys, monkeypatch, "_closed_form_runs",
             NotDivisible("closed form does not divide"), (3, 2),
         )
 

@@ -10,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _strategies import _eval_oracle
 import knotalex
@@ -22,7 +24,7 @@ from knotalex.errors import (
     ResidualTooLarge,
 )
 from knotalex.family import FamilyParams
-from knotalex.laurent import LaurentPoly
+from knotalex.laurent import LaurentPoly, eval_unit_circle
 from knotalex.rootcert import (
     CertificateKind,
     MonotonicityWitness,
@@ -206,15 +208,35 @@ class TestResidual:
             assert residual_at_certified_root(params, cert) < 1e-8
 
     def test_bit_identical_to_expanded_polynomial(self):
-        # summing the coefficient stream must give the value of the expanded
-        # polynomial, term for term and in the same order
+        # summing the runs' nonzero terms, run by run, must give the value of
+        # the expanded polynomial, term for term and in the same order: that
+        # of eval_unit_circle exactly, and of the product form to the digit
         members = [(n, m) for n in range(1, 41) for m in range(1, 41)]
-        # (2, 100000): 200 000 of its 600 003 coefficients are zero
-        for n, m in [*members, (150000, 1), (100000, 10000), (2, 100000)]:
+        # the members that tests/test_cli.py pins; (2, 100000): 200 000 of
+        # its 600 003 coefficients are zero
+        pinned = [(26490, 1194), (150000, 1), (100000, 10000), (2, 100000)]
+        for n, m in [*members, *pinned]:
             params = FamilyParams(n, m)
             cert = certify_family_root(params)
-            expected = abs(_eval_oracle(closed_form_alexander(n, m), cert.theta_star))
-            assert repr(residual_at_certified_root(params, cert)) == repr(expected), (n, m)
+            poly = closed_form_alexander(n, m)
+            residual = residual_at_certified_root(params, cert)
+            assert residual == abs(eval_unit_circle(poly, cert.theta_star)), (n, m)
+            expected = abs(_eval_oracle(poly, cert.theta_star))
+            assert repr(residual) == repr(expected), (n, m)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        n=st.integers(min_value=1, max_value=100000),
+        m=st.integers(min_value=1, max_value=10000),
+    )
+    def test_equals_eval_unit_circle_at_large_members(self, n, m):
+        params = FamilyParams(n, m)
+        cert = certify_family_root(params)
+        value = eval_unit_circle(closed_form_alexander(n, m), cert.theta_star)
+        with pytest.MonkeyPatch.context() as patch:
+            # large members may miss the bound; the equality must hold anyway
+            patch.setattr(rootcert, "DEFAULT_RESIDUAL_BOUND", math.inf)
+            assert residual_at_certified_root(params, cert) == abs(value)
 
     def test_streams_the_coefficients(self):
         # the residual holds no coefficient list: a dense one would take
