@@ -37,8 +37,6 @@ _HOMES = {
     "compute_weights": "foxcalc",
     "fox_derivative": "foxcalc",
     "LaurentPoly": "laurent",
-    "centered_cosine_form": "laurent",
-    "centered_cosine_value": "laurent",
     "eval_unit_circle": "laurent",
     "exact_div": "laurent",
     "format_poly": "laurent",
@@ -47,14 +45,12 @@ _HOMES = {
     "normalize_knot_poly": "laurent",
     "to_json_dict": "laurent",
     "CertificateKind": "rootcert",
-    "CircleRoot": "rootcert",
     "MonotonicityWitness": "rootcert",
     "RootCertificate": "rootcert",
     "certificate_record": "rootcert",
     "certify_family_root": "rootcert",
     "circle_function": "rootcert",
     "circle_function_derivative": "rootcert",
-    "find_simple_roots": "rootcert",
     "residual_at_certified_root": "rootcert",
     "Presentation": "words",
     "Word": "words",

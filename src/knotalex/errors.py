@@ -38,14 +38,6 @@ class NotAKnotPolynomial(KnotAlexError):
     """Polynomial cannot be normalized: zero, or its value at t = 1 is not +-1."""
 
 
-class NotPalindromic(KnotAlexError):
-    """Coefficient sequence is not symmetric under reversal."""
-
-
-class OddSpan(KnotAlexError):
-    """Palindromic polynomial has odd span, so there is no integer center."""
-
-
 class H1RankNotOne(KnotAlexError):
     """Nullspace of the exponent-sum matrix is not one-dimensional."""
 

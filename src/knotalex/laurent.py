@@ -20,7 +20,6 @@ picks the representative with minimum degree zero and value +1 at t = 1.
 from __future__ import annotations
 
 import cmath
-import math
 from collections.abc import Iterable, Mapping
 from itertools import repeat
 from operator import mul
@@ -29,8 +28,6 @@ from .errors import (
     DivisionByZero,
     NotAKnotPolynomial,
     NotDivisible,
-    NotPalindromic,
-    OddSpan,
     _is_integer,
 )
 
@@ -304,27 +301,6 @@ def eval_unit_circle(p: LaurentPoly, theta: float) -> complex:
     """
     exps = sorted(p._coeffs)
     return _unit_circle_sum(exps, map(p._coeffs.__getitem__, exps), theta)
-
-
-def centered_cosine_form(p: LaurentPoly) -> list[int]:
-    """Cosine coefficients of a palindromic polynomial of even span.
-
-    Returns (c_0, ..., c_g) such that t^-center * p evaluated at e^(i*theta)
-    is the real number c_0 + sum_k 2*c_k*cos(k*theta); center = min + span/2.
-    """
-    if p.is_zero or not is_palindromic(p):
-        raise NotPalindromic("cosine form requires a nonzero palindromic polynomial")
-    if p.span % 2:
-        raise OddSpan(f"span {p.span} is odd; no integer center exists")
-    center = p.min_degree + p.span // 2
-    return [p.coefficient(center + k) for k in range(p.span // 2 + 1)]
-
-
-def centered_cosine_value(coeffs: list[int], theta: float) -> float:
-    """Evaluate a centered cosine form at theta."""
-    return coeffs[0] + 2.0 * sum(
-        c * math.cos(k * theta) for k, c in enumerate(coeffs[1:], start=1)
-    )
 
 
 def _int_to_decimal(value: int) -> str:

@@ -213,8 +213,8 @@ class TestCertify:
             "kind: IntervalSignChange\n"
             "interval: (0.3141592653589793, 0.5711986642890533)\n"
             "theta_star: 0.4188790204786347\n"
-            "g_lo: 0.9876883405951379\n"
-            "g_hi: -0.8817605592166836\n"
+            "g_lo: 0.9876883405951378\n"
+            "g_hi: -0.8817605592166837\n"
             "residual: 1.329e-14\n"
         )
 
@@ -249,6 +249,16 @@ class TestCertify:
         code, out, _ = run(capsys, [*argv, "--json"])
         assert code == 0
         assert repr(json.loads(out)["residual"]) == digits
+
+    def test_member_past_the_float_range(self, capsys):
+        # a 401-digit n once ended in an OverflowError traceback
+        code, out, err = run(capsys, ["certify", "--n", "9" * 401, "--m", "1"])
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: CertificationFailed: theta_lo = (pi/2)/M is not a normal float: "
+            "M = n + 3m exceeds (pi/2)*2^1022\n"
+        )
 
     def test_no_tolerance_option(self, capsys):
         # the bisection width and the residual bound are fixed constants
@@ -390,7 +400,7 @@ class TestTable:
         # the cells keep the type name; the message goes to stderr
         self._failed_member(
             capsys, monkeypatch, "certify_family_root",
-            CertificationFailed("monotonicity does not bridge"), (2, 1),
+            CertificationFailed("7M(2n - 3) = 7 is not above 11"), (2, 1),
         )
 
     def test_failed_closed_form(self, capsys, monkeypatch):

@@ -45,7 +45,24 @@ now for U = t^(3m) and V = t^(2(n-2)): psi((s1 s2)^3) = t^3 I, so the
 
 exactly, with no unit.  In the Fox variables the bracket is the six-term
 numerator N, so det(I - psi(beta)) = N / (1 + t) = (1 + t + t^2) Delta.
+
+The root certificate of ``rootcert`` rests on three more facts, proved here
+for every (n, m) with M = n + 3m, nu = n - 3/2 and T = 2n + 6m + 1 as affine
+forms.  N's exponents pair as e <-> T - e with doubled offsets 2e - T equal to
++-(2M + 1), +-(2M - 1) and +-2 nu, so N(e^(i theta)) = 2 e^(i T theta/2) g(theta)
+for g(theta) = 2 cos(theta/2) cos(M theta) + cos(nu theta).  For n >= 2 the
+bracket's end theta_hi = (pi/2)/(n + 3m/2 - 3/4) has theta_hi (M + nu) = pi.
+And the lower bound on -g' over the bracket,
+
+    (2 M nu - 11/7) / (M + nu) = 2 (7M(2n - 3) - 11) / (7 (2M + 2n - 3)),
+
+is positive for every n >= 2 and m >= 1; that identity and that sign are
+checked as polynomials in n and m.
 """
+
+import cmath
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -57,7 +74,20 @@ from knotalex.family import (
     preferred_longitude,
 )
 from knotalex.foxcalc import Weights, abelianize, compute_weights, fox_derivative
-from knotalex.laurent import LaurentPoly, exact_div, normalize_knot_poly, t
+from knotalex.laurent import (
+    LaurentPoly,
+    eval_unit_circle,
+    exact_div,
+    normalize_knot_poly,
+    t,
+)
+from knotalex.rootcert import (
+    MonotonicityWitness,
+    _frequencies,
+    certify_family_root,
+    circle_function,
+    circle_function_derivative,
+)
 from knotalex.words import parse_word
 
 #: (base word, exponent as (constant, n, m)) for each block, left to right.
@@ -327,3 +357,155 @@ def test_burau_numerator_is_the_fox_numerator():
     # N / (1 + t) = (1 + t + t^2) Delta exactly, for every (n, m).
     fox = {(i - 4 * k, 2 * k, 3 * j): c for (i, j, k), c in BURAU_NUMERATOR.items()}
     assert fox == NUMERATOR
+
+
+#: T, M and 2 nu = 2n - 3 as forms (constant, n, m).
+TOP = (1, 2, 6)
+BIG = (0, 1, 3)
+TWICE_NU = (-3, 2, 0)
+ONE = (1, 0, 0)
+#: Four times the denominator n + 3m/2 - 3/4 of theta_hi = (pi/2)/(...), n >= 2.
+FOUR_DENOMINATOR = (-3, 4, 6)
+
+
+def _form(*terms):
+    """The combination sum of k * form over (k, form) pairs."""
+    return tuple(sum(k * form[i] for k, form in terms) for i in range(3))
+
+
+def _value(form, n, m):
+    c, p, q = form
+    return c + p * n + q * m
+
+
+def _positive(form, n_min):
+    """True if the form is positive for all n >= n_min, m >= 1.
+
+    With n = n_min + n' and m = 1 + m', the n' and m' coefficients must be
+    nonnegative and the constant, the value at (n_min, 1), positive.
+    """
+    c, p, q = form
+    return p >= 0 and q >= 0 and _value(form, n_min, 1) > 0
+
+
+def test_numerator_pairs_into_the_circle_function():
+    # N = sum of t^e over its six exponents e, each coefficient 1.  Every e
+    # has its partner T - e, so N(z) = z^(T/2) sum z^(e - T/2) is 2 z^(T/2)
+    # times the sum of cos((e - T/2) theta) over one exponent of each pair.
+    assert set(NUMERATOR.values()) == {1}
+    exponents = sorted(NUMERATOR)
+    assert sorted(_form((1, TOP), (-1, e)) for e in exponents) == exponents
+    # The doubled offsets 2e - T are +-(2M + 1), +-(2M - 1) and +-2 nu, so the
+    # pairs give cos((M + 1/2) theta) + cos((M - 1/2) theta) + cos(nu theta),
+    # which is 2 cos(theta/2) cos(M theta) + cos(nu theta) = g(theta).
+    offsets = sorted(_form((2, e), (-1, TOP)) for e in exponents)
+    halves = [_form((2, BIG), (1, ONE)), _form((2, BIG), (-1, ONE)), TWICE_NU]
+    assert offsets == sorted([*halves, *(_form((-1, h)) for h in halves)])
+
+
+@pytest.mark.parametrize("n, m", MEMBERS)
+def test_pairing_is_the_package_circle_function(n, m):
+    params = FamilyParams(n, m)
+    assert _frequencies(params) == (_value(BIG, n, m), _value(TWICE_NU, n, m) / 2)
+    numerator, top = _at(NUMERATOR, n, m), _value(TOP, n, m)
+    for theta in (0.1, 0.7, 1.9):
+        paired = 2 * cmath.exp(0.5j * top * theta) * circle_function(params, theta)
+        value = eval_unit_circle(numerator, theta)
+        assert abs(value - paired) < 1e-12 * top, (theta, value, paired)
+
+
+def test_theta_hi_times_m_plus_nu_is_pi():
+    # 4 (n + 3m/2 - 3/4) = 2M + 2 nu, so theta_hi (M + nu) = pi: then
+    # cos(nu theta_hi) = -cos(M theta_hi), and g(theta_hi) has a closed form
+    assert FOUR_DENOMINATOR == _form((2, BIG), (1, TWICE_NU))
+    # 0 < nu < M for n >= 2, so M theta_hi = pi M / (M + nu) lies in (pi/2, pi);
+    # and M + nu >= 11/2, so theta_hi <= 2 pi/11 < 2 pi/3 and cos(theta/2) > 1/2
+    assert _positive(TWICE_NU, 2)
+    assert _positive(_form((2, BIG), (-1, TWICE_NU)), 2)
+    assert _value(FOUR_DENOMINATOR, 2, 1) == 11 and _positive(FOUR_DENOMINATOR, 2)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n, m in MEMBERS if n >= 2])
+def test_package_theta_hi_is_pi_over_m_plus_nu(n, m):
+    cert = certify_family_root(FamilyParams(n, m))
+    assert cert.theta_hi * _value(FOUR_DENOMINATOR, n, m) == pytest.approx(
+        2 * math.pi, rel=1e-15
+    )
+
+
+def test_sine_forms_of_the_bracket_values():
+    # g(theta_lo) = cos(nu pi/(2M)) = sin(pi (M - nu)/(2M)) with 2(M - nu) =
+    # 6m + 3; and for n >= 2, cos(M theta_hi) = -sin(pi (M - nu)/(2(M + nu))).
+    six_m_three = (3, 0, 6)
+    assert _form((2, BIG), (-1, TWICE_NU)) == six_m_three
+    # Both sine arguments lie in (0, pi/2): 4M > 6m + 3 for every member, and
+    # 2(2M + 2n - 3) > 2(6m + 3) for n >= 2
+    assert _positive(_form((4, BIG), (-1, six_m_three)), 1)
+    assert _positive(_form((2, FOUR_DENOMINATOR), (-2, six_m_three)), 2)
+
+
+def _poly(*terms):
+    """A polynomial in n and m from (coefficient, n power, m power) terms."""
+    out = {}
+    for coeff, i, j in terms:
+        out = _add(out, {(i, j): Fraction(coeff)})
+    return out
+
+
+POLY_BIG = _poly((1, 1, 0), (3, 0, 1))
+POLY_TWICE_NU = _poly((2, 1, 0), (-3, 0, 0))
+
+
+def _shifted(p, n_min):
+    """p with n = n_min + n' and m = 1 + m', in n' and m'."""
+    out = {}
+    for (i, j), coeff in p.items():
+        term = {(0, 0): coeff}
+        for _ in range(i):
+            term = _mul(term, _poly((1, 1, 0), (n_min, 0, 0)))
+        for _ in range(j):
+            term = _mul(term, _poly((1, 0, 1), (1, 0, 0)))
+        out = _add(out, term)
+    return out
+
+
+def test_derivative_bound_algebra():
+    # On the bracket, sin(theta/2) cos(M theta) >= -theta_hi/2 > -(11/7)/(M + nu)
+    # by sin x <= x and pi < 22/7, 2M cos(theta/2) sin(M theta) > 2 M nu/(M + nu)
+    # by cos(theta/2) > 1/2 and Jordan's inequality, and nu sin(nu theta) > 0.
+    # So -g' > (2 M nu - 11/7)/(M + nu); with nu = (2n - 3)/2 that is the
+    # witness's bound, checked here cross-multiplied as polynomials in n, m.
+    assert Fraction(22, 7) > math.pi
+    big, twice_nu = POLY_BIG, POLY_TWICE_NU
+    nu = _mul(_poly((Fraction(1, 2), 0, 0)), twice_nu)
+    proved = _add(  # 2 M nu - 11/7
+        _mul(_poly((2, 0, 0)), _mul(big, nu)), _poly((Fraction(-11, 7), 0, 0))
+    )
+    product = _mul(big, twice_nu)  # M (2n - 3)
+    numerator = _add(_mul(_poly((14, 0, 0)), product), _poly((-22, 0, 0)))
+    denominator = _add(_mul(_poly((14, 0, 0)), big), _mul(_poly((7, 0, 0)), twice_nu))
+    assert _mul(proved, denominator) == _mul(numerator, _add(big, nu))
+    # 7M(2n - 3) - 11 has positive coefficients in n - 2 and m - 1 and the
+    # value 24 at (2, 1): the bound is positive for every n >= 2, m >= 1
+    margin = _shifted(_add(_mul(_poly((7, 0, 0)), product), _poly((-11, 0, 0))), 2)
+    assert margin[(0, 0)] == 24 and all(c > 0 for c in margin.values())
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n, m in MEMBERS if n >= 2])
+def test_package_witness_is_the_proved_bound(n, m):
+    witness = certify_family_root(FamilyParams(n, m)).witness
+    assert witness == MonotonicityWitness(_value(BIG, n, m), _value(TWICE_NU, n, m))
+    big, nu = Fraction(_value(BIG, n, m)), Fraction(_value(TWICE_NU, n, m), 2)
+    assert witness.bound == (2 * big * nu - Fraction(11, 7)) / (big + nu)
+
+
+def test_bound_holds_on_sampled_brackets():
+    # not a proof: the sampled minimum of -g' never falls below the bound
+    for n in range(2, 13):
+        for m in range(1, 13):
+            params = FamilyParams(n, m)
+            cert = certify_family_root(params)
+            lo, hi, bound = cert.theta_lo, cert.theta_hi, float(cert.witness.bound)
+            for k in range(101):
+                theta = lo + k * (hi - lo) / 100
+                assert -circle_function_derivative(params, theta) > bound, (n, m, k)

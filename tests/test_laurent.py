@@ -12,17 +12,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from _strategies import _eval_oracle, laurent_polys
-from knotalex.errors import (
-    DivisionByZero,
-    NotAKnotPolynomial,
-    NotDivisible,
-    NotPalindromic,
-    OddSpan,
-)
+from knotalex.errors import DivisionByZero, NotAKnotPolynomial, NotDivisible
 from knotalex.laurent import (
     LaurentPoly,
-    centered_cosine_form,
-    centered_cosine_value,
     eval_unit_circle,
     exact_div,
     format_poly,
@@ -197,36 +189,6 @@ class TestUnitCircle:
         # the printed residual digits depend on every term and on the order
         # of the summation, so the value must match the oracle's bit for bit
         assert repr(eval_unit_circle(p, theta)) == repr(_eval_oracle(p, theta))
-
-
-class TestCosineForm:
-    def test_trefoil(self):
-        assert centered_cosine_form(TREFOIL) == [-1, 1]
-
-    def test_t34(self):
-        assert centered_cosine_form(T34) == [1, 0, -1, 1]
-
-    def test_not_palindromic(self):
-        with pytest.raises(NotPalindromic):
-            centered_cosine_form(LaurentPoly({0: -1, 1: 1, 2: 1}))
-
-    def test_odd_span(self):
-        with pytest.raises(OddSpan):
-            centered_cosine_form(t + 1)
-
-    def test_matches_eval_unit_circle(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            half = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, 5))]
-            while half[-1] == 0:
-                half[-1] = rng.randrange(-5, 6)
-            coeffs = half + [rng.randrange(-5, 6)] + half[::-1]
-            p = LaurentPoly(dict(enumerate(coeffs)))
-            form = centered_cosine_form(p)
-            theta = rng.uniform(0.0, math.pi)
-            assert abs(
-                abs(eval_unit_circle(p, theta)) - abs(centered_cosine_value(form, theta))
-            ) < 1e-10
 
 
 class TestFormatting:

@@ -1,4 +1,4 @@
-"""Certified unit-circle roots: the family function g and the generic scanner."""
+"""Certified unit-circle roots: the family function g and its certificates."""
 
 import inspect
 import math
@@ -6,7 +6,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,15 +18,10 @@ from hypothesis import strategies as st
 from _strategies import _eval_oracle
 import knotalex
 from knotalex import rootcert
-from knotalex.alexander import closed_form_alexander, torus_knot_alexander
-from knotalex.errors import (
-    CertificationFailed,
-    NotPalindromic,
-    OddSpan,
-    ResidualTooLarge,
-)
+from knotalex.alexander import closed_form_alexander
+from knotalex.errors import CertificationFailed, ResidualTooLarge
 from knotalex.family import FamilyParams
-from knotalex.laurent import LaurentPoly, eval_unit_circle
+from knotalex.laurent import eval_unit_circle
 from knotalex.rootcert import (
     CertificateKind,
     MonotonicityWitness,
@@ -33,9 +30,11 @@ from knotalex.rootcert import (
     certify_family_root,
     circle_function,
     circle_function_derivative,
-    find_simple_roots,
     residual_at_certified_root,
 )
+
+#: Members whose roots lie far below the range of today's tests' grids.
+LARGE_MEMBERS = [(31400257, 1), (814743552, 1000), (1, 10**15), (10**15, 10**15)]
 
 
 class TestCircleFunction:
@@ -58,6 +57,20 @@ class TestCircleFunction:
         params = FamilyParams(2, 1)  # root at 2*pi/15 ~ 0.41888
         assert circle_function(params, 0.40) > 0
         assert circle_function(params, 0.43) < 0
+
+    def test_is_delta_on_the_unit_circle(self):
+        # |Delta(e^(i theta))| = |g(theta)| / (cos(theta/2) (1 + 2 cos theta)) on
+        # (0, 2 pi/3), the identity every certificate rests on
+        rng = random.Random(1809)
+        for n in range(1, 13):
+            for m in range(1, 13):
+                params, poly = FamilyParams(n, m), closed_form_alexander(n, m)
+                for _ in range(8):
+                    theta = rng.uniform(0.0, 2 * math.pi / 3)
+                    denominator = math.cos(theta / 2) * (1 + 2 * math.cos(theta))
+                    expected = abs(circle_function(params, theta)) / denominator
+                    got = abs(eval_unit_circle(poly, theta))
+                    assert math.isclose(got, expected, rel_tol=1e-9), (n, m, theta)
 
 
 class TestDerivative:
@@ -84,7 +97,7 @@ class TestCertification:
         cert = certify_family_root(FamilyParams(1, 1))
         assert cert.kind is CertificateKind.EXACT_COSINE
         assert abs(cert.theta_star - math.pi / 6) < 1e-14
-        assert isinstance(cert.monotone_witness, str)
+        assert isinstance(cert.witness, str)
         assert cert.g_at_lo > 0 > cert.g_at_hi
 
     def test_n1_family_roots_are_exact(self):
@@ -101,33 +114,44 @@ class TestCertification:
         assert cert.theta_hi == pytest.approx(2 * math.pi / 11, abs=1e-15)
         # the true root is at 2*pi/15 because this member is the (3, 5) torus knot
         assert abs(cert.theta_star - 2 * math.pi / 15) < 1e-9
-        witness = cert.monotone_witness
-        assert isinstance(witness, MonotonicityWitness)
-        assert witness.panels == 3
-        assert witness.min_neg_derivative > 0
-        assert witness.second_derivative_bound == pytest.approx(5.5**2 + 5**2 + 0.5**2)
+        # M = 5 and 2n - 3 = 1: -g' > 2 (35 - 11) / (7 * 11) on the bracket
+        assert cert.witness == MonotonicityWitness(5, 1)
+        assert cert.witness.bound == Fraction(48, 77)
+        assert cert.g_at_lo == pytest.approx(math.cos(math.pi / 20), abs=1e-15)
 
-    def test_extreme_members_need_few_panels(self):
-        # the grid this replaced used 64 * M panels: 9 600 192 and 19 200 128
-        for n, m in [(150000, 1), (2, 100000)]:
-            witness = certify_family_root(FamilyParams(n, m)).monotone_witness
-            assert 1 <= witness.panels <= 32, (n, m)
+    def test_extreme_members_certify_in_milliseconds(self):
+        # the float margin this replaced refused (31400257, 1) and every
+        # member past it; the proof holds at any size
+        for n, m in LARGE_MEMBERS:
+            params = FamilyParams(n, m)
+            took = []
+            for _ in range(5):
+                start = time.perf_counter()
+                cert = certify_family_root(params)
+                took.append(time.perf_counter() - start)
+            assert min(took) < 0.01, (n, m, took)
+            assert cert.theta_lo < cert.theta_star < cert.theta_hi, (n, m)
+            assert cert.g_at_lo > 0.0 > cert.g_at_hi, (n, m)
+            if n >= 2:
+                assert cert.witness == MonotonicityWitness(n + 3 * m, 2 * n - 3)
+                assert cert.witness.bound > 0
 
-    def test_unbridgeable_derivative_fails_fast(self, monkeypatch):
-        params = FamilyParams(7, 3)
-        cert = certify_family_root(params)
-        # not a dyadic point of the bracket, so no panel end lands on it
-        root = cert.theta_lo + 0.3 * (cert.theta_hi - cert.theta_lo)
-        calls = []
+    @pytest.mark.parametrize("n, m", [(2, 1), (2, 10**5), (10**15, 10**15)])
+    def test_bisects_to_relative_width(self, n, m):
+        # the root shrinks like 1/M, so only a width relative to it keeps
+        # 1e-12 of accuracy: g changes sign within theta* (1 +- 2e-12)
+        params = FamilyParams(n, m)
+        star = certify_family_root(params).theta_star
+        assert circle_function(params, star * (1 - 2e-12)) > 0
+        assert circle_function(params, star * (1 + 2e-12)) < 0
 
-        def vanishing(p, theta):
-            calls.append(theta)
-            return -abs(theta - root)  # -g' vanishes at root
-
-        monkeypatch.setattr(rootcert, "circle_function_derivative", vanishing)
-        with pytest.raises(CertificationFailed, match="monotonicity"):
-            certify_family_root(params)
-        assert 0 < len(calls) < 10_000
+    def test_unbridgeable_derivative_fails_fast(self):
+        # a witness whose bound does not show -g' > 0 cannot be built; every
+        # member has 7M(2n - 3) >= 35, so this one is made by hand
+        with pytest.raises(CertificationFailed) as info:
+            MonotonicityWitness(1, 1)
+        assert str(info.value) == "7M(2n - 3) = 7 is not above 11"
+        assert MonotonicityWitness(2, 1).bound == Fraction(6, 35)
 
     def test_fixed_configuration(self):
         # the bisection width and the residual bound are constants, not knobs
@@ -165,37 +189,75 @@ class TestCertification:
 
 
 class TestBracketChecks:
-    """Each CertificationFailed raise site of certify_family_root, per kind."""
+    """The bracket's end values, per kind: closed forms equal to g there."""
+
+    @staticmethod
+    def _members(n):
+        if n == 1:
+            return [(1, m) for m in range(1, 40)]
+        return [(k, m) for k in range(2, 30) for m in range(1, 30)]
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_left_sign(self, monkeypatch, n):
-        cert = certify_family_root(FamilyParams(n, 3))
-        monkeypatch.setattr(rootcert, "circle_function", lambda params, theta: -1.0)
-        with pytest.raises(CertificationFailed) as info:
-            certify_family_root(FamilyParams(n, 3))
-        message = f"g({cert.theta_lo}) = -1.0 not positive beyond margin"
-        assert str(info.value) == message
+    def test_left_sign(self, n):
+        for member in self._members(n):
+            params = FamilyParams(*member)
+            cert = certify_family_root(params)
+            assert cert.g_at_lo > 0, member
+            expected = circle_function(params, cert.theta_lo)
+            assert cert.g_at_lo == pytest.approx(expected, abs=1e-13), member
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_right_sign(self, monkeypatch, n):
-        cert = certify_family_root(FamilyParams(n, 3))
-        monkeypatch.setattr(rootcert, "circle_function", lambda params, theta: 1.0)
-        with pytest.raises(CertificationFailed) as info:
-            certify_family_root(FamilyParams(n, 3))
-        message = f"g({cert.theta_hi}) = 1.0 not negative beyond margin"
-        assert str(info.value) == message
+    def test_right_sign(self, n):
+        for member in self._members(n):
+            params = FamilyParams(*member)
+            cert = certify_family_root(params)
+            assert cert.g_at_hi < 0, member
+            expected = circle_function(params, cert.theta_hi)
+            assert cert.g_at_hi == pytest.approx(expected, abs=1e-13), member
 
-    def test_exact_root(self, monkeypatch):
-        # the shift keeps both bracket signs but moves the n = 1 zero
-        def shifted(params, theta):
-            return circle_function(params, theta) + 1e-6
+    def test_exact_root(self):
+        # the n = 1 root is (2 pi/3)/M in closed form; g vanishes there
+        for m in [*range(1, 60), 10**6, 10**15]:
+            params = FamilyParams(1, m)
+            cert = certify_family_root(params)
+            assert abs(circle_function(params, cert.theta_star)) < 1e-12, m
 
-        monkeypatch.setattr(rootcert, "circle_function", shifted)
-        cert = certify_family_root(FamilyParams(2, 3))
-        assert cert.kind is CertificateKind.INTERVAL_SIGN_CHANGE
-        with pytest.raises(CertificationFailed) as info:
-            certify_family_root(FamilyParams(1, 3))
-        assert str(info.value) == "g is not numerically zero at the exact root"
+
+class TestRange:
+    """Members past the float range are refused by name, before any g."""
+
+    def test_theta_lo_below_the_normal_floats(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(rootcert, "circle_function", lambda *a: calls.append(a))
+        message = (
+            "theta_lo = (pi/2)/M is not a normal float: "
+            "M = n + 3m exceeds (pi/2)*2^1022"
+        )
+        largest = rootcert._LARGEST_M
+        n = largest % 3 or 3  # n + 3m = largest, with n in {1, 2, 3}
+        for member in [(int("9" * 401), 1), (1, 10**400), (n + 1, (largest - n) // 3)]:
+            with pytest.raises(CertificationFailed) as info:
+                certify_family_root(FamilyParams(*member))
+            assert str(info.value) == message
+        assert calls == []
+        monkeypatch.undo()
+        cert = certify_family_root(FamilyParams(n, (largest - n) // 3))
+        assert cert.theta_lo >= sys.float_info.min
+        assert cert.g_at_lo > 0.0 > cert.g_at_hi
+
+    def test_bracket_without_an_inner_float(self, monkeypatch):
+        # with m = 1 the float bracket collapses between n = 10^15 and 10^17:
+        # (10^16, 1) has adjacent ends, (10^17, 1) equal ones
+        calls = []
+        monkeypatch.setattr(rootcert, "circle_function", lambda *a: calls.append(a))
+        for n in (10**16, 10**17, 10**100):
+            with pytest.raises(CertificationFailed) as info:
+                certify_family_root(FamilyParams(n, 1))
+            assert str(info.value).startswith("no float lies strictly between"), n
+        assert calls == []
+        monkeypatch.undo()
+        cert = certify_family_root(FamilyParams(10**15, 1))
+        assert cert.theta_lo < cert.theta_star < cert.theta_hi
 
 
 class TestResidual:
@@ -275,111 +337,15 @@ class TestResidual:
         assert record["residual"] < 1e-8
 
 
-class TestFindSimpleRoots:
-    def test_trefoil(self):
-        roots = find_simple_roots(LaurentPoly({0: 1, 1: -1, 2: 1}))
-        assert len(roots) == 1
-        assert roots[0].theta_star == pytest.approx(math.pi / 3, abs=1e-10)
-        assert roots[0].simple and roots[0].odd_multiplicity
-
-    def test_t34(self):
-        roots = find_simple_roots(torus_knot_alexander(3, 4))
-        expected = [math.pi / 6, math.pi / 3, 5 * math.pi / 6]
-        assert len(roots) == len(expected)
-        for root, want in zip(roots, expected):
-            assert root.theta_star == pytest.approx(want, abs=1e-10)
-            assert root.simple
-
-    def test_fifteenth_cyclotomic(self):
-        # closed_form(2, 1) is the (3, 5) torus polynomial: primitive 15th
-        # roots of unity, of which four lie in the open upper half circle
-        roots = find_simple_roots(closed_form_alexander(2, 1))
-        expected = [2 * math.pi * k / 15 for k in (1, 2, 4, 7)]
-        assert len(roots) == len(expected)
-        for root, want in zip(roots, expected):
-            assert root.theta_star == pytest.approx(want, abs=1e-10)
-            assert root.simple
-
-    def test_scanner_agrees_with_certificate(self):
-        # the generic scanner must rediscover the certified root inside the
-        # certificate's own bracket, for exact and interval kinds alike
-        for n, m in [(1, 2), (2, 1), (3, 1), (4, 2), (5, 3), (2, 4)]:
-            params = FamilyParams(n, m)
-            cert = certify_family_root(params)
-            roots = find_simple_roots(closed_form_alexander(n, m))
-            inside = [
-                r for r in roots if cert.theta_lo <= r.theta_star <= cert.theta_hi
-            ]
-            assert len(inside) == 1, (n, m)
-            assert abs(inside[0].theta_star - cert.theta_star) < 1e-9, (n, m)
-            assert inside[0].simple, (n, m)
-
-    def test_root_on_first_grid_point(self, monkeypatch):
-        # at grid factor 1 the first grid point is pi/5, a root of T(2, 5);
-        # its outer neighbour is theta = 0, where the form is +1
-        monkeypatch.setattr(rootcert, "DEFAULT_GRID_FACTOR", 1)
-        roots = find_simple_roots(torus_knot_alexander(2, 5))
-        assert roots[0].theta_lo == 0.0
-        assert roots[0].theta_star == math.pi / 5
-        assert roots[0].odd_multiplicity and roots[0].simple
-
-    def test_roots_in_end_cells(self, monkeypatch):
-        # at grid factor 1 the grid is k*pi/5; the form is -2.2e-16 at the
-        # last grid point 4*pi/5 and +1 at pi, so that root's sign change
-        # shows only in the end cell
-        monkeypatch.setattr(rootcert, "DEFAULT_GRID_FACTOR", 1)
-        cyclotomic = LaurentPoly({k: 1 for k in range(5)})
-        roots = find_simple_roots(cyclotomic)
-        assert [r.theta_star for r in roots] == pytest.approx(
-            [2 * math.pi / 5, 4 * math.pi / 5], abs=1e-10
-        )
-        assert roots[-1].theta_hi == math.pi
-        assert all(r.odd_multiplicity and r.simple for r in roots)
-
-    def test_torus_knots_report_every_root(self):
-        # T(p, q) has (p-1)(q-1)/2 simple roots in the open upper half circle
-        for p in range(2, 8):
-            for q in range(p + 1, 60 // p + 1):
-                if math.gcd(p, q) != 1:
-                    continue
-                roots = find_simple_roots(torus_knot_alexander(p, q))
-                assert len(roots) == (p - 1) * (q - 1) // 2, (p, q)
-                assert all(r.odd_multiplicity and r.simple for r in roots), (p, q)
-
-    def test_scan_bisects_to_relative_width(self):
-        # T(2, 301) = (t^301 + 1)/(t + 1) has its roots at pi(2j + 1)/301;
-        # the first is 0.0104, so only a relative width reaches 1e-12 there
-        roots = find_simple_roots(torus_knot_alexander(2, 301))
-        assert len(roots) == 150
-        for j, root in enumerate(roots):
-            want = math.pi * (2 * j + 1) / 301
-            assert abs(root.theta_star - want) < 1e-12 * want, j
-
-    def test_takes_the_polynomial_alone(self):
-        assert list(inspect.signature(find_simple_roots).parameters) == ["p"]
-
-    def test_constant_polynomial_has_no_roots(self):
-        assert find_simple_roots(LaurentPoly.one()) == []
-
-    def test_not_palindromic(self):
-        with pytest.raises(NotPalindromic):
-            find_simple_roots(LaurentPoly({0: 1, 1: 2, 2: 3}))
-
-    def test_odd_span(self):
-        with pytest.raises(OddSpan):
-            find_simple_roots(LaurentPoly({0: 1, 1: 1}))
-
-
 def test_package_import_leaves_numpy_out():
-    # with numpy blocked, the CLI and the generic scanner must still run
+    # with numpy blocked, the CLI must still run
     code = "\n".join(
         [
             "import sys",
             "sys.modules['numpy'] = None",
-            "from knotalex import cli, find_simple_roots, torus_knot_alexander",
+            "from knotalex import cli",
             "assert cli.main(['certify', '--n', '2', '--m', '1']) == 0",
             "assert cli.main(['table', '--n-max', '3', '--m-max', '3']) == 0",
-            "assert len(find_simple_roots(torus_knot_alexander(3, 4))) == 3",
         ]
     )
     env = dict(os.environ, PYTHONPATH=str(Path(knotalex.__file__).parents[1]))
