@@ -40,7 +40,6 @@ _HOMES = {
     "eval_unit_circle": "laurent",
     "exact_div": "laurent",
     "format_poly": "laurent",
-    "from_json_dict": "laurent",
     "is_palindromic": "laurent",
     "normalize_knot_poly": "laurent",
     "to_json_dict": "laurent",

@@ -66,8 +66,6 @@ def _closed_form_runs(n: int, m: int) -> list[tuple[int, int, list[int]]]:
     A run (start, stop, period) gives each degree d in [start, stop) the
     coefficient period[(d - start) % 6].
     """
-    if not (_is_integer(n) and _is_integer(m)) or n < 1 or m < 1:
-        raise ValueError("closed form requires integers n >= 1 and m >= 1")
     top = 2 * n + 6 * m + 1
     end = top - 2  # one past the span 2n + 6m - 2
     # The numerator times 1 - 2t + 2t^2 - t^3, as steps sorted by exponent.
@@ -106,6 +104,7 @@ def closed_form_alexander(n: int, m: int):
     """Closed-form Alexander polynomial (a ``LaurentPoly``) of the (n, m) member."""
     from .laurent import LaurentPoly, normalize_knot_poly
 
+    FamilyParams(n, m)  # the one check of a member's parameters
     coeffs = {}
     for exps, levels in _nonzero_terms(_closed_form_runs(n, m)):
         coeffs.update(zip(exps, cycle(levels)))
@@ -155,9 +154,7 @@ def genus(params: FamilyParams) -> int:
 
 def slope_bound(params: FamilyParams) -> int:
     """Surgery slope threshold 2n + 6m - 3, equal to 2*genus - 1."""
-    bound = 2 * params.n + 6 * params.m - 3
-    assert bound == 2 * genus(params) - 1
-    return bound
+    return 2 * genus(params) - 1
 
 
 @record

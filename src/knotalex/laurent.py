@@ -314,20 +314,6 @@ def _int_to_decimal(value: int) -> str:
         return sign + _int_to_decimal(high) + _int_to_decimal(low).zfill(half)
 
 
-def _decimal_to_int(text: str) -> int:
-    """int(text), also past CPython's limit on decimal digits."""
-    try:
-        return int(text)
-    except ValueError:
-        if len(text) <= 640:  # no digit limit is below 640: a malformed literal
-            raise
-    if text.startswith("-"):
-        return -_decimal_to_int(text[1:])
-    half = len(text) // 2
-    head, tail = _decimal_to_int(text[:half]), _decimal_to_int(text[half:])
-    return head * 10 ** (len(text) - half) + tail
-
-
 def format_poly(p: LaurentPoly) -> str:
     """Human-readable text, ascending powers: ``1 - t + t^2``."""
     if p.is_zero:
@@ -357,32 +343,3 @@ def to_json_dict(p: LaurentPoly) -> dict:
         "coeffs": [_int_to_decimal(p.coefficient(low + i)) for i in range(p.span + 1)],
     }
 
-
-def from_json_dict(data: Mapping) -> LaurentPoly:
-    """Inverse of ``to_json_dict``, which gives each polynomial one JSON shape.
-
-    ``min_degree`` is an int and ``coeffs`` canonical decimal strings with
-    nonzero ends; the zero polynomial is ``{"min_degree": 0, "coeffs": []}``.
-    No other key is read.
-    """
-    written = ("min_degree", "coeffs")
-    missing = [key for key in written if key not in data]
-    extra = [key for key in data if key not in written]
-    if missing or extra:
-        raise ValueError(
-            f"keys must be min_degree and coeffs: missing {missing}, extra {extra}"
-        )
-    low, coeffs = data["min_degree"], data["coeffs"]
-    if not _is_integer(low):
-        raise TypeError(f"min_degree must be an integer, got {type(low).__name__}")
-    if not (isinstance(coeffs, list) and all(isinstance(c, str) for c in coeffs)):
-        raise TypeError("coeffs must be a list of decimal strings")
-    values = {low + i: _decimal_to_int(text) for i, text in enumerate(coeffs)}
-    for text, value in zip(coeffs, values.values()):
-        if _int_to_decimal(value) != text:
-            raise ValueError(f"coefficient {text!r} is not canonical decimal text")
-    if coeffs and "0" in (coeffs[0], coeffs[-1]):
-        raise ValueError("the first and last coefficients must be nonzero")
-    if not coeffs and low != 0:
-        raise ValueError("the zero polynomial has min_degree 0")
-    return LaurentPoly(values)

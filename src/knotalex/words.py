@@ -27,7 +27,7 @@ optional; ``#`` starts a comment that runs to the end of the line.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from ._record import record
 from .errors import PresentationError, WordParseError, _is_integer
@@ -35,8 +35,8 @@ from .errors import PresentationError, WordParseError, _is_integer
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 _TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<name>[A-Za-z][A-Za-z0-9]*)
+    rf"""\s*(?:
+        (?P<name>{_NAME_RE.pattern})
       | (?P<int>-?\d+)
       | (?P<punct>[\^()])
     )""",
@@ -89,16 +89,9 @@ class Word:
     def syllables(self) -> tuple[tuple[str, int], ...]:
         return self._syllables
 
-    @property
-    def is_identity(self) -> bool:
-        return not self._syllables
-
     def __len__(self) -> int:
         """Number of syllables (not letters)."""
         return len(self._syllables)
-
-    def __iter__(self) -> Iterator[tuple[str, int]]:
-        return iter(self._syllables)
 
     def __mul__(self, other: Word) -> Word:
         if not isinstance(other, Word):

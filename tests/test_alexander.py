@@ -361,8 +361,12 @@ class TestClosedForm:
             assert closed_form_alexander(2, m) == torus_knot_alexander(3, 3 * m + 2)
 
     def test_invalid_params(self):
-        for n, m in [(0, 1), (1, 0), (-1, 2), (True, 1), (1, False)]:
-            with pytest.raises(ValueError):
+        # FamilyParams checks the arguments: a non-int is a TypeError
+        for n, m in [(0, 1), (1, 0), (-1, 2)]:
+            with pytest.raises(ValueError, match="the family requires n >= 1"):
+                closed_form_alexander(n, m)
+        for n, m in [(True, 1), (1, False), (1.5, 1), (1, "2")]:
+            with pytest.raises(TypeError, match="^n and m must be integers$"):
                 closed_form_alexander(n, m)
 
 
@@ -389,11 +393,18 @@ class TestClosedFormStream:
         runs = family._closed_form_runs(n, m)
         assert _expand_runs(runs) == _dense_closed_form_oracle(n, m)
 
-    def test_invalid_params_raise_at_call_time(self):
+    def test_invalid_params_raise_at_call_time(self, monkeypatch):
         # the input check runs before any step or run is built
-        for n, m in [(0, 1), (1, 0), (1.5, 1), (True, 1), (2, True)]:
-            with pytest.raises(ValueError, match="closed form requires integers"):
-                family._closed_form_runs(n, m)
+        def refuse(n, m):
+            raise AssertionError("runs built for invalid parameters")
+
+        monkeypatch.setattr(family, "_closed_form_runs", refuse)
+        for n, m, error in [
+            (0, 1, ValueError), (1, 0, ValueError),
+            (1.5, 1, TypeError), (True, 1, TypeError), (2, True, TypeError),
+        ]:
+            with pytest.raises(error):
+                closed_form_alexander(n, m)
 
 
 class TestTorusKnots:

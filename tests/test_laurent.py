@@ -1,9 +1,7 @@
 """Laurent polynomials: exact arithmetic, division, normalization, circle data."""
 
-import json
 import math
 import random
-import re
 import sys
 from fractions import Fraction
 
@@ -18,7 +16,6 @@ from knotalex.laurent import (
     eval_unit_circle,
     exact_div,
     format_poly,
-    from_json_dict,
     is_palindromic,
     normalize_knot_poly,
     t,
@@ -199,70 +196,17 @@ class TestFormatting:
         assert format_poly(LaurentPoly.zero()) == "0"
 
     def test_json_round_trip(self):
-        for p in (TREFOIL, T35, LaurentPoly({-3: 2, 0: -7}), LaurentPoly.zero()):
-            blob = json.dumps(to_json_dict(p))
-            assert from_json_dict(json.loads(blob)) == p
-
-    @pytest.mark.parametrize(
-        "min_degree, coeffs, message",
-        [
-            (True, ["1"], "min_degree must be an integer, got bool"),
-            ("3", ["1"], "min_degree must be an integer, got str"),
-            (1.0, ["1"], "min_degree must be an integer, got float"),
-            (0, [True, 2.7], "coeffs must be a list of decimal strings"),
-            (0, ["1", 2], "coeffs must be a list of decimal strings"),
-            (0, "12", "coeffs must be a list of decimal strings"),
-        ],
-        ids=[
-            "bool-degree", "str-degree", "float-degree", "bool-float", "int-coeff",
-            "str-coeffs",
-        ],
-    )
-    def test_from_json_takes_only_the_written_shape(self, min_degree, coeffs, message):
-        data = {"min_degree": min_degree, "coeffs": coeffs}
-        with pytest.raises(TypeError, match=f"^{message}$"):
-            from_json_dict(data)
-
-    @pytest.mark.parametrize(
-        "data, message",
-        [
-            (
-                {"min_degree": 0, "coeffs": ["1"], "extra": 5},
-                "missing [], extra ['extra']",
-            ),
-            ({"coeffs": ["1"]}, "missing ['min_degree'], extra []"),
-            ({"min_degree": 0}, "missing ['coeffs'], extra []"),
-        ],
-        ids=["extra-key", "no-min-degree", "no-coeffs"],
-    )
-    def test_from_json_takes_only_the_written_keys(self, data, message):
-        # one polynomial, one JSON text: no key is ignored or defaulted
-        expected = f"keys must be min_degree and coeffs: {message}"
-        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-            from_json_dict(data)
-
-    @pytest.mark.parametrize(
-        "text", ["+7", " 1_0 ", "\u0661\u0662", "007", "-0"],
-        ids=["plus", "space-underscore", "arabic-indic", "leading-zeros", "minus-zero"],
-    )
-    def test_from_json_reads_only_canonical_decimals(self, text):
-        with pytest.raises(ValueError, match="is not canonical decimal text$"):
-            from_json_dict({"min_degree": 0, "coeffs": ["1", text]})
-
-    @pytest.mark.parametrize(
-        "min_degree, coeffs, message",
-        [
-            (0, ["1", "0"], "the first and last coefficients must be nonzero"),
-            (0, ["0", "1"], "the first and last coefficients must be nonzero"),
-            (0, ["0"], "the first and last coefficients must be nonzero"),
-            (5, [], "the zero polynomial has min_degree 0"),
-        ],
-        ids=["trailing-zero", "leading-zero", "zero-coefficient", "shifted-zero"],
-    )
-    def test_from_json_reads_only_trimmed_coefficients(self, min_degree, coeffs, message):
-        # one polynomial, one JSON text: what to_json_dict writes
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            from_json_dict({"min_degree": min_degree, "coeffs": coeffs})
+        # to_json_dict is the one JSON route: the exact text of each shape
+        assert to_json_dict(TREFOIL) == {"min_degree": 0, "coeffs": ["1", "-1", "1"]}
+        assert to_json_dict(T35) == {
+            "min_degree": 0,
+            "coeffs": ["1", "-1", "0", "1", "-1", "1", "0", "-1", "1"],
+        }
+        assert to_json_dict(LaurentPoly({-3: 2, 0: -7})) == {
+            "min_degree": -3,
+            "coeffs": ["2", "0", "0", "-7"],
+        }
+        assert to_json_dict(LaurentPoly.zero()) == {"min_degree": 0, "coeffs": []}
 
     def test_json_shape_and_decimal_strings(self):
         data = to_json_dict(LaurentPoly({-1: 10**40, 1: -2}))
@@ -284,24 +228,10 @@ class TestLongDecimals:
 
     def test_round_trip_negative(self):
         p = LaurentPoly({-1: -(10**5000), 1: 3})
-        assert from_json_dict(json.loads(json.dumps(to_json_dict(p)))) == p
-
-    def test_reads_past_the_digit_limit(self):
-        data = {"min_degree": 0, "coeffs": ["9" * 5001]}
-        assert from_json_dict(data) == LaurentPoly({0: 10**5001 - 1})
-
-    @pytest.mark.parametrize(
-        "text",
-        ["0" + "9" * 5000, "+" + "9" * 5000, "9" * 3000 + " " + "9" * 3000, "-" + "0" * 5000],
-        ids=["leading-zero", "plus", "inner-space", "minus-zero"],
-    )
-    def test_long_non_canonical_text_refused(self, text):
-        with pytest.raises(ValueError, match="is not canonical decimal text$"):
-            from_json_dict({"min_degree": 0, "coeffs": [text]})
-
-    def test_long_invalid_text_refused(self):
-        with pytest.raises(ValueError, match="invalid literal"):
-            from_json_dict({"min_degree": 0, "coeffs": ["9" * 4000 + "x" * 1000]})
+        assert to_json_dict(p) == {
+            "min_degree": -1,
+            "coeffs": ["-1" + "0" * 5000, "0", "3"],
+        }
 
     @pytest.mark.parametrize("digits", [4301, 4800, 4801, 6000, 6001, 12345])
     def test_random_long_decimals(self, digits):
@@ -314,4 +244,3 @@ class TestLongDecimals:
             value = value * 10 ** len(piece) + int(piece)
         p = LaurentPoly({0: value, 1: -value})
         assert to_json_dict(p)["coeffs"] == [text, "-" + text]
-        assert from_json_dict(to_json_dict(p)) == p
